@@ -12,8 +12,9 @@
 //! fixing the old reader-thread design where `ConnWriter::send_line`
 //! swallowed broken pipes and workers kept rendering for dead clients.
 
+use crate::protocol::{self, ErrorCode};
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -164,6 +165,19 @@ pub(crate) struct ReadOutcome {
     pub error: bool,
 }
 
+/// Answers a connect over the `max_conns` limit with one `busy` line,
+/// in a single write, before the caller drops the socket. Best effort:
+/// the socket is fresh, so the line fits the send buffer; any failure
+/// just means a close with no explanation.
+pub(crate) fn refuse_over_limit(mut stream: &TcpStream, max_conns: usize) {
+    let line = protocol::err_line(
+        0,
+        ErrorCode::Busy,
+        &format!("connection limit ({max_conns}) reached"),
+    );
+    let _ = stream.write_all(format!("{line}\n").as_bytes());
+}
+
 /// Loop-side connection state: the socket plus the line-reassembly
 /// buffer and close bookkeeping. Lives exclusively on the event-loop
 /// thread.
@@ -193,8 +207,16 @@ pub(crate) enum Flush {
 }
 
 impl Conn {
+    /// Wraps a socket for the event loop. Every service socket is built
+    /// here: renderd's accepted clients, the router's accepted clients
+    /// and the router's upstream shard sockets, so the socket options set
+    /// below cannot be missed on a new path. `TCP_NODELAY` matters
+    /// because replies are pipelined: with Nagle on, a reply queued while
+    /// an earlier one is unacked waits for the peer's delayed ACK (up to
+    /// 40 ms) on every hop.
     pub fn new(stream: TcpStream, waker: Arc<Waker>, line_cap: usize) -> std::io::Result<Conn> {
         stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
         Ok(Conn {
             stream,
             handle: ConnHandle::new(waker),
@@ -256,12 +278,15 @@ impl Conn {
         !self.read_buf.is_empty()
     }
 
-    /// Writes as much of the queue as the socket accepts right now.
+    /// Writes as much of the queue as the socket accepts right now. Both
+    /// halves of a wrapped queue go out in one vectored write, so a reply
+    /// never costs an extra segment and an extra reader wakeup.
     pub fn flush(&mut self) -> Flush {
         let mut queue = self.handle.queue.lock();
         while !queue.bytes.is_empty() {
-            let (front, _) = queue.bytes.as_slices();
-            match self.stream.write(front) {
+            let (front, back) = queue.bytes.as_slices();
+            let halves = [IoSlice::new(front), IoSlice::new(back)];
+            match self.stream.write_vectored(&halves) {
                 Ok(0) => {
                     drop(queue);
                     self.handle.mark_dead();
@@ -385,6 +410,65 @@ mod tests {
             .unwrap();
         let n = client.read(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"ping\n");
+    }
+
+    #[test]
+    fn every_conn_socket_has_nagle_off() {
+        let (conn, _client) = conn_pair(1024);
+        assert!(conn.stream.nodelay().unwrap());
+    }
+
+    #[test]
+    fn wrapped_queue_flushes_both_halves_in_order() {
+        // A pseudo-random byte stream, so a dropped, repeated or swapped
+        // run of bytes cannot line up with the expected sequence.
+        let mut x = 0x9e37_79b9_u32;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x as u8
+        };
+        // The front half is far larger than the socket buffers of an
+        // unread peer, so the first flush must stop inside it.
+        let (mut conn, mut client) = conn_pair(1024);
+        let expected = {
+            let mut queue = conn.handle.queue.lock();
+            queue.bytes = VecDeque::with_capacity(16 << 20);
+            let cap = queue.bytes.capacity();
+            let drained = 1000;
+            let sent: Vec<u8> = (0..cap + drained).map(|_| next()).collect();
+            queue.bytes.extend(&sent[..cap]);
+            queue.bytes.drain(..drained);
+            queue.bytes.extend(&sent[cap..]);
+            let (front, back) = queue.bytes.as_slices();
+            assert_eq!((front.len(), back.len()), (cap - drained, drained));
+            sent[drained..].to_vec()
+        };
+
+        assert_eq!(conn.flush(), Flush::Blocked);
+        assert!(conn.write_blocked);
+        let left = conn.handle.pending_bytes();
+        assert!(
+            left > 1000 && left < expected.len(),
+            "stopped inside the front half: {left} left"
+        );
+
+        // Read to EOF, so a byte sent twice fails as surely as one lost.
+        let reader = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            client.read_to_end(&mut got).unwrap();
+            got
+        });
+        while conn.flush() != Flush::Done {
+            let fd = std::os::unix::io::AsRawFd::as_raw_fd(&conn.stream);
+            polling::wait(&mut [polling::PollFd::new(fd, polling::POLLOUT)], 1000).unwrap();
+        }
+        assert!(!conn.write_blocked);
+        drop(conn);
+        let got = reader.join().unwrap();
+        assert_eq!(got.len(), expected.len());
+        assert!(got == expected, "bytes arrived out of order");
     }
 
     #[test]

@@ -426,6 +426,11 @@ impl Client {
     fn from_stream(stream: TcpStream) -> Result<Client, String> {
         // Tune steps at paper scale can take a while; be generous.
         stream.set_read_timeout(Some(Duration::from_secs(300))).ok();
+        // Nagle would hold a request back behind an unacked one, so the
+        // client latency would measure the socket, not the server.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("set TCP_NODELAY: {e}"))?;
         let reader = BufReader::new(
             stream
                 .try_clone()

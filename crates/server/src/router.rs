@@ -38,13 +38,13 @@
 //! ([`kdtune_telemetry::MergedMetrics`]), with a per-shard breakdown
 //! under `shards` (stats) or `shard="i"`-labeled series (metrics).
 
-use crate::conn::{drain_waker, Conn, ConnHandle, Flush, Waker};
+use crate::conn::{self, drain_waker, Conn, ConnHandle, Flush, Waker};
 use crate::protocol::{self, Command, ErrorCode, Request, SessionSpec};
 use crate::shard::{HashRing, ShardProcess};
 use kdtune_telemetry::{self as telemetry, json::JsonValue, MergedMetrics, MetricsRegistry};
 use polling::{PollFd, POLLIN, POLLOUT};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{ErrorKind, Write};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -755,13 +755,7 @@ fn accept_ready(router: &mut Router, ls: &mut LoopState) {
                         &[("event", "conn_limit")],
                         1,
                     );
-                    let line = protocol::err_line(
-                        0,
-                        ErrorCode::Busy,
-                        &format!("connection limit ({}) reached", router.max_conns),
-                    );
-                    let _ = (&stream).write_all(line.as_bytes());
-                    let _ = (&stream).write_all(b"\n");
+                    conn::refuse_over_limit(&stream, router.max_conns);
                     continue;
                 }
                 match Conn::new(stream, Arc::clone(&router.waker), protocol::MAX_LINE_BYTES) {

@@ -22,7 +22,7 @@
 //! stall the exit forever.
 
 use crate::cache::TreeCache;
-use crate::conn::{drain_waker, Conn, ConnHandle, Flush, Waker};
+use crate::conn::{self, drain_waker, Conn, ConnHandle, Flush, Waker};
 use crate::protocol::{self, Command, ErrorCode, Request, SessionSpec};
 use crate::session::SessionManager;
 use crate::store::ConfigStore;
@@ -32,7 +32,7 @@ use kdtune_telemetry::trace::TraceContext;
 use kdtune_telemetry::{self as telemetry, json::JsonValue, MetricsRecorder, MetricsRegistry};
 use polling::{PollFd, POLLIN, POLLOUT};
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Write};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -497,16 +497,7 @@ fn accept_ready(
             Ok((stream, _)) => {
                 if conns.len() >= state.max_conns {
                     conn_event(state, "conn_limit");
-                    let line = protocol::err_line(
-                        0,
-                        ErrorCode::Busy,
-                        &format!("connection limit ({}) reached", state.max_conns),
-                    );
-                    // Best effort: the socket is fresh, so the line fits
-                    // the send buffer; any failure just means a close
-                    // with no explanation.
-                    let _ = (&stream).write_all(line.as_bytes());
-                    let _ = (&stream).write_all(b"\n");
+                    conn::refuse_over_limit(&stream, state.max_conns);
                     continue;
                 }
                 match Conn::new(stream, Arc::clone(&state.waker), protocol::MAX_LINE_BYTES) {

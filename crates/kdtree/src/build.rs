@@ -3,17 +3,21 @@
 //!
 //! All builders make identical split decisions — the SAH sweep (or binned
 //! approximation) plus the termination test of eq. 2 — and differ only in
-//! how the work is scheduled:
+//! how the work is scheduled. They share one O(n log n) working set
+//! (`Prims`): the three per-axis event lists are sorted once per build
+//! and partitioned stably into the children at every split, next to the
+//! node's primitive ids in ascending order.
 //!
 //! * [`Algorithm::NodeLevel`]: depth-first recursion, `rayon::join` over
 //!   independent subtrees until roughly `threads · S` tasks exist.
-//! * [`Algorithm::Nested`]: node-level tasking plus parallel classification
-//!   of the primitive lists inside large nodes ([`crate::scan`]).
+//! * [`Algorithm::Nested`]: node-level tasking plus parallel partitioning
+//!   of the primitive and event lists inside large nodes (one task per
+//!   list).
 //! * [`Algorithm::InPlace`]: breadth-first over an arena, one level at a
-//!   time — the level's frontier nodes run as parallel tasks (grained to
-//!   `threads · S`), large nodes classify their primitive lists with the
-//!   parallel scan, and child slots come from a prefix scan over the
-//!   level's split decisions.
+//!   time — the level's frontier nodes are decided and then partitioned
+//!   as parallel tasks (grained to `threads · S`), the partition going
+//!   list by list over the whole level, and child slots come from a
+//!   prefix scan over the level's split decisions.
 //! * [`Algorithm::Lazy`]: the breadth-first builder stopped at resolution
 //!   `R`; nodes holding ≤ `R` primitives are deferred and only expanded
 //!   when a ray reaches them ([`crate::LazyKdTree`]).
@@ -27,14 +31,16 @@
 use crate::binned::best_split_binned;
 use crate::query::BuiltTree;
 use crate::sah::SahParams;
-use crate::scan::{par_classify_scan, par_map};
+use crate::scan::par_map;
 use crate::split::{
-    best_split_sweep_idx, best_split_sweep_idx_par, classify, sweep_events, EventKind, SplitPlane,
+    best_split_presorted, classify, event_count, partition_by_plane, sides, sorted_events, Event,
+    SplitPlane,
 };
 use crate::tree::{BuildNode, KdTree};
 use crate::LazyKdTree;
 use kdtune_geometry::{Aabb, Axis, TriangleMesh};
 use kdtune_telemetry as telemetry;
+use std::ops::Range;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -188,21 +194,203 @@ pub(crate) struct BuildCtx<'a> {
     pub level_tasks: usize,
 }
 
-/// Node size from which the in-node classification uses the
-/// count→scan→scatter path in the breadth-first builders (and the Nested
-/// recursion).
+/// Node size from which a split in the recursion partitions its four
+/// lists as parallel tasks (with the Nested strategy and in lazy
+/// expansion), and from which the root sorts its three axes in parallel.
 const PAR_NODE_MIN_PRIMS: usize = 4096;
 
 /// Node size from which the three per-axis SAH sweeps run as parallel
-/// tasks. The sweep sorts an event list per axis, so each fork carries
-/// real work — but still an order of magnitude more than the
-/// classification scan, hence the higher bar before forking pays.
+/// tasks. A presorted sweep is one linear pass per axis, so a fork pays
+/// only on the largest nodes.
 const SWEEP_FORK_MIN_PRIMS: usize = 16_384;
 
-/// Primitives per level-decision task: fan a level out into at most
+/// Primitives per level task: fan a level pass out into at most
 /// `level_prims / LEVEL_TASK_GRAIN + 1` tasks so no fork carries less
-/// than a few milliseconds of sweep work.
+/// than a few milliseconds of work.
 const LEVEL_TASK_GRAIN: usize = 8_192;
+
+/// Lengths of a node's four lists: its ids, then its events on x, y, z.
+type ListLens = [usize; 4];
+
+/// A node's primitives as every builder carries them: the ids in
+/// ascending order (leaf contents and the binned search) and, for the
+/// exact sweep, the node's events on each axis in sweep order — sorted
+/// once per build and partitioned stably at every split. Binned builds
+/// carry no events. The breadth-first builder keeps a whole level's lists
+/// back to back in one `Prims`.
+#[derive(Default)]
+pub(crate) struct Prims {
+    ids: Vec<u32>,
+    events: [Vec<Event>; 3],
+}
+
+/// A node's lists, borrowed.
+#[derive(Clone, Copy)]
+struct Lists<'a> {
+    ids: &'a [u32],
+    events: [&'a [Event]; 3],
+}
+
+/// One child's destination lists, exactly as long as its [`ListLens`].
+struct ListsMut<'a> {
+    ids: &'a mut [u32],
+    events: [&'a mut [Event]; 3],
+}
+
+impl Prims {
+    /// The root working set over every primitive of `bounds`: the one sort
+    /// per axis of the build.
+    pub(crate) fn root(bounds: &[Aabb], split: SplitMethod) -> Prims {
+        let events = match split {
+            SplitMethod::Sweep if bounds.len() >= PAR_NODE_MIN_PRIMS => {
+                let ((x, y), z) = rayon::join(
+                    || {
+                        rayon::join(
+                            || sorted_events(bounds, Axis::X),
+                            || sorted_events(bounds, Axis::Y),
+                        )
+                    },
+                    || sorted_events(bounds, Axis::Z),
+                );
+                [x, y, z]
+            }
+            SplitMethod::Sweep => Axis::ALL.map(|axis| sorted_events(bounds, axis)),
+            SplitMethod::Binned { .. } => Default::default(),
+        };
+        Prims {
+            ids: (0..bounds.len() as u32).collect(),
+            events,
+        }
+    }
+
+    /// Sets every list to its length in `lens`, reusing the capacity. The
+    /// entries are placeholders for a partition to overwrite.
+    fn reset(&mut self, lens: ListLens) {
+        refill(&mut self.ids, lens[0], 0);
+        for (list, &len) in self.events.iter_mut().zip(&lens[1..]) {
+            refill(list, len, Event::default());
+        }
+    }
+
+    fn lens(&self) -> ListLens {
+        let [x, y, z] = &self.events;
+        [self.ids.len(), x.len(), y.len(), z.len()]
+    }
+
+    fn all(&self) -> Lists<'_> {
+        let [x, y, z] = &self.events;
+        Lists {
+            ids: &self.ids,
+            events: [x, y, z],
+        }
+    }
+
+    fn all_mut(&mut self) -> ListsMut<'_> {
+        let [x, y, z] = &mut self.events;
+        ListsMut {
+            ids: &mut self.ids,
+            events: [x, y, z],
+        }
+    }
+}
+
+impl<'a> Lists<'a> {
+    /// Splits off the lists of the first node, `lens` long.
+    fn take_front(&mut self, lens: ListLens) -> Lists<'a> {
+        let (ids, rest) = self.ids.split_at(lens[0]);
+        self.ids = rest;
+        let events = std::array::from_fn(|a| {
+            let (front, rest) = self.events[a].split_at(lens[a + 1]);
+            self.events[a] = rest;
+            front
+        });
+        Lists { ids, events }
+    }
+}
+
+/// Refills `list` with `len` copies of `fill`. A list too short is freed
+/// before it is allocated again at exactly `len`, so growing never holds
+/// both buffers or doubles the capacity.
+fn refill<T: Clone>(list: &mut Vec<T>, len: usize, fill: T) {
+    if list.capacity() < len {
+        *list = Vec::new();
+        list.reserve_exact(len);
+    }
+    list.clear();
+    list.resize(len, fill);
+}
+
+/// Element-wise sum of list lengths.
+fn sum_lens(lens: impl IntoIterator<Item = ListLens>) -> ListLens {
+    lens.into_iter().fold([0; 4], |mut acc, l| {
+        acc.iter_mut().zip(l).for_each(|(a, l)| *a += l);
+        acc
+    })
+}
+
+/// The two children's list lengths under `plane`: a primitive's id and
+/// events go to each side [`sides`] assigns it.
+fn child_lens(bounds: &[Aabb], node: Lists<'_>, plane: &SplitPlane) -> [ListLens; 2] {
+    let with_events = !node.events[0].is_empty();
+    let mut lens = [[0; 4]; 2];
+    for &i in node.ids {
+        let b = &bounds[i as usize];
+        let (l, r) = sides(b, plane.axis, plane.pos);
+        let mut counts = [1, 0, 0, 0];
+        if with_events {
+            for axis in Axis::ALL {
+                counts[axis as usize + 1] = event_count(b, axis);
+            }
+        }
+        for (side, goes) in lens.iter_mut().zip([l, r]) {
+            if goes {
+                side.iter_mut().zip(counts).for_each(|(len, c)| *len += c);
+            }
+        }
+    }
+    debug_assert_eq!((lens[0][0], lens[1][0]), (plane.n_left, plane.n_right));
+    lens
+}
+
+/// Partitions a node's lists into its children's windows (sized by
+/// [`child_lens`]); with `par`, the four lists go as parallel tasks. The
+/// children's lists come out exactly as a fresh per-node collection and
+/// sort would give them.
+fn partition(
+    bounds: &[Aabb],
+    node: Lists<'_>,
+    plane: &SplitPlane,
+    left: ListsMut<'_>,
+    right: ListsMut<'_>,
+    par: bool,
+) {
+    let (axis, pos) = (plane.axis, plane.pos);
+    let ListsMut {
+        ids: left_ids,
+        events: [lx, ly, lz],
+    } = left;
+    let ListsMut {
+        ids: right_ids,
+        events: [rx, ry, rz],
+    } = right;
+    let ids = |l: &mut [u32], r: &mut [u32]| {
+        partition_by_plane(bounds, node.ids, |i| i as usize, axis, pos, l, r)
+    };
+    let events = |a: usize, l: &mut [Event], r: &mut [Event]| {
+        partition_by_plane(bounds, node.events[a], Event::prim, axis, pos, l, r)
+    };
+    if par {
+        rayon::join(
+            || rayon::join(|| ids(left_ids, right_ids), || events(0, lx, rx)),
+            || rayon::join(|| events(1, ly, ry), || events(2, lz, rz)),
+        );
+    } else {
+        ids(left_ids, right_ids);
+        events(0, lx, rx);
+        events(1, ly, ry);
+        events(2, lz, rz);
+    }
+}
 
 /// The split decision every algorithm shares: find the best plane and
 /// apply the depth cap and the SAH termination criterion (eq. 2).
@@ -211,82 +399,65 @@ const LEVEL_TASK_GRAIN: usize = 8_192;
 /// way.
 fn choose_split(
     ctx: &BuildCtx<'_>,
-    indices: &[u32],
-    node: &Aabb,
+    node: Lists<'_>,
+    bounds: &Aabb,
     depth: u32,
     fork_axes: bool,
 ) -> Option<SplitPlane> {
-    if indices.is_empty() || depth >= ctx.max_depth {
+    let n = node.ids.len();
+    if n == 0 || depth >= ctx.max_depth {
         return None;
     }
     let plane = match ctx.split {
-        SplitMethod::Sweep if fork_axes && indices.len() >= SWEEP_FORK_MIN_PRIMS => {
-            best_split_sweep_idx_par(ctx.bounds, indices, node, &ctx.sah)
+        SplitMethod::Sweep => {
+            let fork = fork_axes && n >= SWEEP_FORK_MIN_PRIMS;
+            best_split_presorted(node.events, n, bounds, &ctx.sah, fork)
         }
-        SplitMethod::Sweep => best_split_sweep_idx(ctx.bounds, indices, node, &ctx.sah),
         SplitMethod::Binned { bins } => {
-            best_split_binned(ctx.bounds, indices, node, &ctx.sah, bins as usize)
+            best_split_binned(ctx.bounds, node.ids, bounds, &ctx.sah, bins as usize)
         }
     }?;
-    if ctx.sah.should_stop(indices.len(), plane.cost) {
+    if ctx.sah.should_stop(n, plane.cost) {
         return None;
     }
     Some(plane)
-}
-
-/// Partitions a node's primitives by `plane`, in parallel when the
-/// Nested strategy is active and the node is large enough.
-fn split_indices(ctx: &BuildCtx<'_>, indices: &[u32], plane: &SplitPlane) -> (Vec<u32>, Vec<u32>) {
-    if ctx.nested && indices.len() >= PAR_NODE_MIN_PRIMS {
-        par_classify_scan(ctx.bounds, indices, plane.axis, plane.pos)
-    } else {
-        classify(ctx.bounds, indices, plane.axis, plane.pos)
-    }
-}
-
-/// Partitions a node's primitives for the breadth-first builders: large
-/// nodes always take the count→scan→scatter path, regardless of
-/// algorithm — §IV-C is "parallel over the primitives of each level".
-fn split_indices_level(
-    ctx: &BuildCtx<'_>,
-    indices: &[u32],
-    plane: &SplitPlane,
-) -> (Vec<u32>, Vec<u32>) {
-    if indices.len() >= PAR_NODE_MIN_PRIMS {
-        par_classify_scan(ctx.bounds, indices, plane.axis, plane.pos)
-    } else {
-        classify(ctx.bounds, indices, plane.axis, plane.pos)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Depth-first recursion (NodeLevel, Nested, lazy expansion)
 // ---------------------------------------------------------------------------
 
-/// Recursive SAH build over `indices`; spawns the two subtrees as parallel
-/// tasks while `depth < ctx.task_depth`.
+/// Recursive SAH build over `prims`; spawns the two subtrees as parallel
+/// tasks while `depth < ctx.task_depth`. Each node frees its lists as soon
+/// as its children's exist.
 pub(crate) fn build_recursive(
     ctx: &BuildCtx<'_>,
-    indices: Vec<u32>,
+    prims: Prims,
     bounds: Aabb,
     depth: u32,
 ) -> BuildNode {
-    let Some(plane) = choose_split(ctx, &indices, &bounds, depth, true) else {
-        return BuildNode::Leaf(indices);
+    let Some(plane) = choose_split(ctx, prims.all(), &bounds, depth, true) else {
+        return BuildNode::Leaf(prims.ids);
     };
-    let (left_idx, right_idx) = split_indices(ctx, &indices, &plane);
-    drop(indices);
+    let (mut left_prims, mut right_prims) = (Prims::default(), Prims::default());
+    let [left_lens, right_lens] = child_lens(ctx.bounds, prims.all(), &plane);
+    left_prims.reset(left_lens);
+    right_prims.reset(right_lens);
+    let par = ctx.nested && prims.ids.len() >= PAR_NODE_MIN_PRIMS;
+    let (left_out, right_out) = (left_prims.all_mut(), right_prims.all_mut());
+    partition(ctx.bounds, prims.all(), &plane, left_out, right_out, par);
+    drop(prims);
     let (lb, rb) = bounds.split(plane.axis, plane.pos);
     let (left, right) = if depth < ctx.task_depth {
         telemetry::counter("kdtree.build.tasks").add(2);
         rayon::join(
-            || build_recursive(ctx, left_idx, lb, depth + 1),
-            || build_recursive(ctx, right_idx, rb, depth + 1),
+            || build_recursive(ctx, left_prims, lb, depth + 1),
+            || build_recursive(ctx, right_prims, rb, depth + 1),
         )
     } else {
         (
-            build_recursive(ctx, left_idx, lb, depth + 1),
-            build_recursive(ctx, right_idx, rb, depth + 1),
+            build_recursive(ctx, left_prims, lb, depth + 1),
+            build_recursive(ctx, right_prims, rb, depth + 1),
         )
     };
     BuildNode::Inner {
@@ -322,36 +493,49 @@ pub(crate) enum TempNode {
     Deferred {
         /// Global primitive ids in this node.
         prims: Vec<u32>,
-        /// The node's bounding box.
-        bounds: Aabb,
+        /// The node's bounding box, boxed so that every arena slot stays
+        /// 32 bytes: the arena grows while a level's event lists are alive.
+        bounds: Box<Aabb>,
     },
     /// Slot allocated but not yet filled (never survives construction).
     Pending,
 }
 
-/// Per-node outcome of a level's parallel decision pass, before child
-/// slots have been assigned.
+/// One undecided node on the breadth-first frontier: its arena slot,
+/// bounds and depth, and the lengths of its lists, which follow the
+/// previous frontier node's in the level's [`Prims`].
+struct FrontierNode {
+    slot: usize,
+    bounds: Aabb,
+    depth: u32,
+    lens: ListLens,
+}
+
+/// Per-node outcome of a level's decision pass, before child slots and
+/// list windows have been assigned.
 enum Decision {
     /// Park the node for lazy expansion.
-    Defer {
-        /// Primitive ids of the deferred subtree.
-        prims: Vec<u32>,
-        /// The node's bounding box.
-        bounds: Aabb,
-    },
+    Defer(Vec<u32>),
     /// Terminate with a leaf.
     Leaf(Vec<u32>),
-    /// Split; children receive slots in the commit pass.
+    /// Split at `axis = pos`; the children's lists have these lengths.
     Split {
         /// Split axis.
         axis: Axis,
         /// Split position.
         pos: f32,
-        /// Left child primitives and bounds.
-        left: (Vec<u32>, Aabb),
-        /// Right child primitives and bounds.
-        right: (Vec<u32>, Aabb),
+        /// List lengths of the left and the right child.
+        lens: [ListLens; 2],
     },
+}
+
+impl Decision {
+    fn child_lens(&self) -> Option<[ListLens; 2]> {
+        match self {
+            Decision::Split { lens, .. } => Some(*lens),
+            _ => None,
+        }
+    }
 }
 
 /// Decides one frontier node: defer / leaf / split. Pure with respect to
@@ -360,59 +544,140 @@ enum Decision {
 /// the level itself has too few nodes to fill the machine.
 fn decide_node(
     ctx: &BuildCtx<'_>,
-    indices: Vec<u32>,
-    bounds: Aabb,
+    node: Lists<'_>,
+    bounds: &Aabb,
     depth: u32,
     defer_below: Option<u32>,
     fork_in_node: bool,
 ) -> Decision {
-    if let Some(r) = defer_below {
-        if !indices.is_empty() && indices.len() as u32 <= r {
-            return Decision::Defer {
-                prims: indices,
-                bounds,
-            };
+    let n = node.ids.len();
+    if defer_below.is_some_and(|r| n > 0 && n as u32 <= r) {
+        // Expansion sorts the subtree's own events.
+        return Decision::Defer(node.ids.to_vec());
+    }
+    match choose_split(ctx, node, bounds, depth, fork_in_node) {
+        Some(plane) => Decision::Split {
+            axis: plane.axis,
+            pos: plane.pos,
+            lens: child_lens(ctx.bounds, node, &plane),
+        },
+        None => Decision::Leaf(node.ids.to_vec()),
+    }
+}
+
+/// Cuts `0..masses.len()` into contiguous ranges of roughly equal mass, at
+/// most `tasks` of them — splitting by count would let one huge node
+/// stall its whole half.
+fn mass_ranges(masses: &[usize], tasks: usize) -> Vec<Range<usize>> {
+    let target = masses.iter().sum::<usize>() / tasks + 1;
+    let mut ranges = Vec::with_capacity(tasks);
+    let (mut start, mut acc) = (0, 0);
+    for (i, m) in masses.iter().enumerate() {
+        acc += m;
+        if acc >= target {
+            ranges.push(start..i + 1);
+            (start, acc) = (i + 1, 0);
         }
     }
-    let Some(plane) = choose_split(ctx, &indices, &bounds, depth, fork_in_node) else {
-        return Decision::Leaf(indices);
-    };
-    let (left_idx, right_idx) = split_indices_level(ctx, &indices, &plane);
-    let (lb, rb) = bounds.split(plane.axis, plane.pos);
-    Decision::Split {
-        axis: plane.axis,
-        pos: plane.pos,
-        left: (left_idx, lb),
-        right: (right_idx, rb),
+    if start < masses.len() {
+        ranges.push(start..masses.len());
+    }
+    ranges
+}
+
+/// Pass 2 of a breadth-first level: the level's nodes, their decisions,
+/// and the contiguous runs of nodes that go to one task each.
+struct LevelPass<'a> {
+    ctx: &'a BuildCtx<'a>,
+    level: &'a [FrontierNode],
+    decisions: &'a [Decision],
+    runs: Vec<Range<usize>>,
+}
+
+impl LevelPass<'_> {
+    /// Partitions the level's list `k` (ids, then the events on x, y, z)
+    /// into the next level's: every split node's part goes to its
+    /// children's windows of `spare`, which then takes the list's place.
+    fn partition<T: Copy + Default + Send + Sync>(
+        &self,
+        k: usize,
+        list: &mut Vec<T>,
+        spare: &mut Vec<T>,
+        prim: impl Fn(T) -> usize + Sync,
+    ) {
+        let children = |decided: &[Decision]| -> usize {
+            let lens = decided.iter().filter_map(Decision::child_lens);
+            lens.map(|[left, right]| left[k] + right[k]).sum()
+        };
+        refill(spare, children(self.decisions), T::default());
+        let (mut src, mut dst): (&[T], &mut [T]) = (list, spare);
+        let runs: Vec<_> = self
+            .runs
+            .iter()
+            .map(|r| {
+                let (nodes, decided) = (&self.level[r.clone()], &self.decisions[r.clone()]);
+                let (run_src, rest) = src.split_at(nodes.iter().map(|f| f.lens[k]).sum());
+                src = rest;
+                let (run_dst, rest) = std::mem::take(&mut dst).split_at_mut(children(decided));
+                dst = rest;
+                (nodes, decided, run_src, run_dst)
+            })
+            .collect();
+        let n_runs = runs.len();
+        par_map(runs, n_runs, &|(nodes, decided, mut src, mut dst)| {
+            for (f, decision) in nodes.iter().zip(decided) {
+                let (node, rest) = src.split_at(f.lens[k]);
+                src = rest;
+                if let Decision::Split { axis, pos, lens } = decision {
+                    let (l, rest) = std::mem::take(&mut dst).split_at_mut(lens[0][k]);
+                    let (r, rest) = rest.split_at_mut(lens[1][k]);
+                    dst = rest;
+                    partition_by_plane(self.ctx.bounds, node, &prim, *axis, *pos, l, r);
+                }
+            }
+        });
+        std::mem::swap(list, spare);
     }
 }
 
 /// Breadth-first SAH build, level-synchronous and parallel (paper §IV-C,
-/// after Choi et al.): each level's frontier nodes are decided as rayon
-/// tasks (chunked so roughly `threads · S` tasks exist), large nodes use
-/// the count→scan→scatter classification internally, and child slots are
-/// assigned by a prefix scan over the level's split decisions — giving an
-/// arena laid out identically to a sequential frontier walk.
+/// after Choi et al.). A level's nodes keep their lists back to back in
+/// one [`Prims`]; each level runs two parallel passes over contiguous
+/// runs of its nodes, grouped so roughly `threads · S` tasks exist:
+///
+/// 1. decide every node (defer / leaf / split) and count its children's
+///    list lengths;
+/// 2. after a prefix scan has handed each split a consecutive pair of
+///    child slots, partition every split node's lists into its
+///    children's windows of the next level's lists, list by list.
+///
+/// The arena comes out laid out exactly as a sequential frontier walk
+/// would produce it. Besides one level's lists only a single list of the
+/// next is ever alive, and the buffers are reused from level to level.
 ///
 /// Nodes with ≤ `defer_below` primitives become [`TempNode::Deferred`]
 /// instead of being subdivided (`None` disables deferral — the InPlace
 /// algorithm).
-/// One undecided node on the breadth-first frontier:
-/// `(arena slot, primitives, bounds, depth)`.
-type FrontierNode = (usize, Vec<u32>, Aabb, u32);
-
 fn build_arena(
     ctx: &BuildCtx<'_>,
-    root_indices: Vec<u32>,
+    root: Prims,
     root_bounds: Aabb,
     defer_below: Option<u32>,
 ) -> Vec<TempNode> {
     let mut arena: Vec<TempNode> = vec![TempNode::Pending];
-    let mut frontier: Vec<FrontierNode> = vec![(0, root_indices, root_bounds, 0)];
+    let mut frontier = vec![FrontierNode {
+        slot: 0,
+        bounds: root_bounds,
+        depth: 0,
+        lens: root.lens(),
+    }];
+    let mut level_lists = root;
+    let (mut spare_ids, mut spare_events) = (Vec::new(), Vec::new());
     let mut levels = 0u64;
     while !frontier.is_empty() {
         let level = std::mem::take(&mut frontier);
-        let level_prims: usize = level.iter().map(|(_, ix, _, _)| ix.len()).sum();
+        let masses: Vec<usize> = level.iter().map(|f| f.lens[0]).collect();
+        let level_prims: usize = masses.iter().sum();
         if telemetry::enabled() {
             telemetry::event(
                 "kdtree.build.level",
@@ -424,42 +689,35 @@ fn build_arena(
             );
         }
         levels += 1;
-
-        // Decision pass: every frontier node independently, as a
-        // join-based fan-out of up to `threads · S` ordered tasks over
-        // the level (mirroring the recursive builders' task budget),
-        // capped so each task owns enough primitives to amortize its
-        // fork. Tasks are contiguous groups of roughly equal primitive
-        // mass — splitting by node count would let one huge node stall
-        // its whole half. While the groups are too few to fill the
-        // machine, the nodes themselves also fork their per-axis sweeps.
+        // Up to `threads · S` tasks (the recursive builders' task budget),
+        // capped so each owns enough primitives to amortize its fork.
         let tasks = ctx
             .level_tasks
             .min(level_prims / LEVEL_TASK_GRAIN + 1)
             .max(1);
-        let target_mass = level_prims / tasks + 1;
-        let mut groups: Vec<Vec<FrontierNode>> = Vec::with_capacity(tasks);
-        let mut cur = Vec::new();
-        let mut mass = 0usize;
-        for item in level {
-            mass += item.1.len();
-            cur.push(item);
-            if mass >= target_mass {
-                groups.push(std::mem::take(&mut cur));
-                mass = 0;
-            }
-        }
-        if !cur.is_empty() {
-            groups.push(cur);
-        }
-        let fork_in_node = groups.len() < rayon::current_num_threads();
-        let n_groups = groups.len();
-        let decisions: Vec<(usize, u32, Decision)> = par_map(groups, n_groups, &|group| {
-            group
-                .into_iter()
-                .map(|(slot, indices, bounds, depth)| {
-                    let d = decide_node(ctx, indices, bounds, depth, defer_below, fork_in_node);
-                    (slot, depth, d)
+
+        // Pass 1: decisions. While the runs are too few to fill the
+        // machine, the nodes themselves also fork their per-axis sweeps.
+        let ranges = mass_ranges(&masses, tasks);
+        let fork_in_node = ranges.len() < rayon::current_num_threads();
+        let mut lists = level_lists.all();
+        let runs: Vec<_> = ranges
+            .into_iter()
+            .map(|r| {
+                let nodes = &level[r];
+                (
+                    nodes,
+                    lists.take_front(sum_lens(nodes.iter().map(|f| f.lens))),
+                )
+            })
+            .collect();
+        let n_runs = runs.len();
+        let mut decisions: Vec<Decision> = par_map(runs, n_runs, &|(nodes, mut lists)| {
+            nodes
+                .iter()
+                .map(|f| {
+                    let node = lists.take_front(f.lens);
+                    decide_node(ctx, node, &f.bounds, f.depth, defer_below, fork_in_node)
                 })
                 .collect::<Vec<_>>()
         })
@@ -467,45 +725,66 @@ fn build_arena(
         .flatten()
         .collect();
 
-        // Slot allocation: an exclusive prefix scan over the split
-        // decisions hands each split a consecutive pair of child slots,
-        // in frontier order (exactly the slots a serial `arena.push`
-        // walk would have produced).
+        // Commit, in frontier order: an exclusive prefix scan over the
+        // splits hands each a consecutive pair of child slots (exactly the
+        // slots a serial `arena.push` walk would produce), and the
+        // children join the next frontier with consecutive lists.
         let base = arena.len();
-        let mut splits = 0usize;
-        let child_base: Vec<usize> = decisions
-            .iter()
-            .map(|(_, _, d)| {
-                let b = base + 2 * splits;
-                splits += matches!(d, Decision::Split { .. }) as usize;
-                b
-            })
-            .collect();
-        arena.resize_with(base + 2 * splits, || TempNode::Pending);
-
-        // Commit pass: fill this level's slots and emit the next frontier.
-        for ((slot, depth, decision), children) in decisions.into_iter().zip(child_base) {
+        let mut splits = 0;
+        frontier.reserve_exact(2 * decisions.iter().filter_map(Decision::child_lens).count());
+        for (f, decision) in level.iter().zip(&mut decisions) {
             match decision {
-                Decision::Defer { prims, bounds } => {
-                    arena[slot] = TempNode::Deferred { prims, bounds };
+                Decision::Defer(prims) => {
+                    let prims = std::mem::take(prims);
+                    arena[f.slot] = TempNode::Deferred {
+                        prims,
+                        bounds: Box::new(f.bounds),
+                    };
                 }
-                Decision::Leaf(prims) => arena[slot] = TempNode::Leaf(prims),
-                Decision::Split {
-                    axis,
-                    pos,
-                    left: (left_idx, lb),
-                    right: (right_idx, rb),
-                } => {
-                    arena[slot] = TempNode::Inner {
-                        axis,
-                        pos,
+                Decision::Leaf(prims) => arena[f.slot] = TempNode::Leaf(std::mem::take(prims)),
+                Decision::Split { axis, pos, lens } => {
+                    let children = base + 2 * splits;
+                    splits += 1;
+                    arena[f.slot] = TempNode::Inner {
+                        axis: *axis,
+                        pos: *pos,
                         left: children as u32,
                         right: children as u32 + 1,
                     };
-                    frontier.push((children, left_idx, lb, depth + 1));
-                    frontier.push((children + 1, right_idx, rb, depth + 1));
+                    let (lb, rb) = f.bounds.split(*axis, *pos);
+                    for (k, (bounds, lens)) in
+                        [(lb, lens[0]), (rb, lens[1])].into_iter().enumerate()
+                    {
+                        frontier.push(FrontierNode {
+                            slot: children + k,
+                            bounds,
+                            depth: f.depth + 1,
+                            lens,
+                        });
+                    }
                 }
             }
+        }
+        arena.resize_with(base + 2 * splits, || TempNode::Pending);
+
+        // Pass 2, one list at a time: every split node partitions it into
+        // its children's windows of the next level's list, which then
+        // takes its place. Next to this level's lists, only one list of
+        // the next level is ever alive.
+        let split_masses: Vec<usize> = level
+            .iter()
+            .zip(&decisions)
+            .map(|(f, d)| d.child_lens().map_or(0, |_| f.lens[0]))
+            .collect();
+        let pass = LevelPass {
+            ctx,
+            level: &level,
+            decisions: &decisions,
+            runs: mass_ranges(&split_masses, tasks),
+        };
+        pass.partition(0, &mut level_lists.ids, &mut spare_ids, |i| i as usize);
+        for (a, list) in level_lists.events.iter_mut().enumerate() {
+            pass.partition(a + 1, list, &mut spare_events, Event::prim);
         }
     }
     telemetry::counter("kdtree.build.levels").add(levels);
@@ -551,7 +830,7 @@ pub fn build(mesh: Arc<TriangleMesh>, algorithm: Algorithm, params: &BuildParams
         .field("tris", mesh.len());
     let bounds = prim_bounds(&mesh);
     let root_bounds = mesh.bounds();
-    let all: Vec<u32> = (0..mesh.len() as u32).collect();
+    let all = Prims::root(&bounds, params.split);
     let ctx = BuildCtx {
         bounds: &bounds,
         sah: params.sah,
@@ -639,167 +918,6 @@ fn median_recursive(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sort-once event builder (Wald & Havran §4)
-// ---------------------------------------------------------------------------
-
-/// One split-candidate event: plane position, kind, owning primitive.
-type Event = (f32, EventKind, u32);
-
-/// Builds a tree with the sort-once variant of the event sweep: the three
-/// per-axis event lists are sorted exactly once at the root and then
-/// *partitioned* (stably, preserving order) down the recursion instead of
-/// being re-sorted per node. Selects identical planes to the re-sorting
-/// sweep the other builders use, so leaf contents agree; the difference is
-/// purely asymptotic build cost — O(n log n) total versus O(n log² n).
-pub fn build_sorted_events(mesh: Arc<TriangleMesh>, params: &BuildParams) -> KdTree {
-    let _span = telemetry::span("kdtree.build")
-        .field("algorithm", "sorted_events")
-        .field("tris", mesh.len());
-    let bounds = prim_bounds(&mesh);
-    let root_bounds = mesh.bounds();
-    let mut events: [Vec<Event>; 3] = Default::default();
-    for axis in Axis::ALL {
-        let list = &mut events[axis as usize];
-        list.reserve(2 * bounds.len());
-        for (i, b) in bounds.iter().enumerate() {
-            let (lo, hi) = (b.min[axis], b.max[axis]);
-            if lo == hi {
-                list.push((lo, EventKind::Planar, i as u32));
-            } else {
-                list.push((lo, EventKind::Start, i as u32));
-                list.push((hi, EventKind::End, i as u32));
-            }
-        }
-        // Same (pos, kind) comparator as the per-node sweep; prim order
-        // within ties is irrelevant to the sweep's grouped counting.
-        // total_cmp: NaN positions from degenerate meshes must not panic
-        // the sort (they order after +inf and never match a real plane).
-        list.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then((a.1 as u8).cmp(&(b.1 as u8))));
-    }
-    let max_depth = params.effective_max_depth(mesh.len());
-    // Scratch side-marks, indexed by primitive id (bit 0 left, bit 1 right).
-    let mut marks = vec![0u8; bounds.len()];
-    let root = sorted_events_recursive(
-        &bounds,
-        &params.sah,
-        params.split,
-        events,
-        root_bounds,
-        0,
-        max_depth,
-        &mut marks,
-    );
-    KdTree::from_build(mesh, root_bounds, root)
-}
-
-/// Primitives present in a per-axis event list: each primitive contributes
-/// exactly one non-`End` event per axis.
-fn event_prims(events: &[Event]) -> Vec<u32> {
-    events
-        .iter()
-        .filter(|e| e.1 != EventKind::End)
-        .map(|e| e.2)
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sorted_events_recursive(
-    bounds: &[Aabb],
-    sah: &SahParams,
-    split: SplitMethod,
-    events: [Vec<Event>; 3],
-    node: Aabb,
-    depth: u32,
-    max_depth: u32,
-    marks: &mut [u8],
-) -> BuildNode {
-    let prims = event_prims(&events[0]);
-    if prims.is_empty() || depth >= max_depth {
-        return BuildNode::Leaf(prims);
-    }
-    let n = prims.len();
-    let plane = match split {
-        SplitMethod::Sweep => {
-            let mut best: Option<SplitPlane> = None;
-            for axis in Axis::ALL {
-                let axis_events: Vec<(f32, EventKind)> = events[axis as usize]
-                    .iter()
-                    .map(|&(pos, kind, _)| (pos, kind))
-                    .collect();
-                if let Some(p) = sweep_events(&axis_events, n, &node, sah, axis) {
-                    if best.is_none_or(|b| p.cost < b.cost) {
-                        best = Some(p);
-                    }
-                }
-            }
-            best
-        }
-        SplitMethod::Binned { bins } => {
-            best_split_binned(bounds, &prims, &node, sah, bins as usize)
-        }
-    };
-    let Some(plane) = plane else {
-        return BuildNode::Leaf(prims);
-    };
-    if sah.should_stop(n, plane.cost) {
-        return BuildNode::Leaf(prims);
-    }
-
-    // Mark each primitive's side(s), then partition all three event lists
-    // stably so child lists stay sorted without re-sorting. Straddlers'
-    // events go to both children — events carry the primitive's full
-    // (unclipped) bounds, exactly as a fresh per-node sort would produce.
-    for &p in &prims {
-        let (l, r) = crate::split::sides(&bounds[p as usize], plane.axis, plane.pos);
-        marks[p as usize] = u8::from(l) | (u8::from(r) << 1);
-    }
-    let mut left_events: [Vec<Event>; 3] = Default::default();
-    let mut right_events: [Vec<Event>; 3] = Default::default();
-    for axis in Axis::ALL {
-        let (le, re) = (
-            &mut left_events[axis as usize],
-            &mut right_events[axis as usize],
-        );
-        for &ev in &events[axis as usize] {
-            let m = marks[ev.2 as usize];
-            if m & 1 != 0 {
-                le.push(ev);
-            }
-            if m & 2 != 0 {
-                re.push(ev);
-            }
-        }
-    }
-    drop(events);
-    drop(prims);
-    let (lb, rb) = node.split(plane.axis, plane.pos);
-    BuildNode::Inner {
-        axis: plane.axis,
-        pos: plane.pos,
-        left: Box::new(sorted_events_recursive(
-            bounds,
-            sah,
-            split,
-            left_events,
-            lb,
-            depth + 1,
-            max_depth,
-            marks,
-        )),
-        right: Box::new(sorted_events_recursive(
-            bounds,
-            sah,
-            split,
-            right_events,
-            rb,
-            depth + 1,
-            max_depth,
-            marks,
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -878,7 +996,7 @@ mod tests {
     }
 
     #[test]
-    fn eager_builders_and_sorted_events_agree_on_grid() {
+    fn eager_builders_agree_on_grid() {
         let mesh = grid_mesh(64);
         let params = BuildParams::default();
         let reference = build(Arc::clone(&mesh), Algorithm::NodeLevel, &params);
@@ -890,9 +1008,6 @@ mod tests {
             let tree = build(Arc::clone(&mesh), algo, &params);
             assert_eq!(tree.node_count(), ref_count, "{algo}");
         }
-        let sorted = build_sorted_events(mesh, &params);
-        validate(&sorted).unwrap();
-        assert_eq!(sorted.node_count(), ref_count);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! uses an OpenMP critical section; we use a `parking_lot::RwLock` so
 //! already-expanded nodes are read-shared across rendering threads).
 
-use crate::build::{build_recursive, BuildCtx, BuildParams, TempNode};
+use crate::build::{build_recursive, BuildCtx, BuildParams, Prims, TempNode};
 use crate::traverse::{ArrayStack, TraversalStack, VecStack, FIXED_TRAVERSAL_STACK};
 use crate::tree::{BuildNode, KdTree, NodeKind};
 use kdtune_geometry::{Aabb, Axis, Hit, Ray, TriangleMesh};
@@ -68,7 +68,7 @@ impl LazyKdTree {
                 },
                 TempNode::Deferred { prims, bounds } => LazyNode::Deferred(DeferredNode {
                     prims: prims.into_boxed_slice(),
-                    bounds,
+                    bounds: *bounds,
                     expanded: RwLock::new(None),
                 }),
                 TempNode::Pending => unreachable!("pending node survived construction"),
@@ -179,13 +179,15 @@ impl LazyKdTree {
             max_depth: self.params.effective_max_depth(d.prims.len()),
             task_depth: 0,
             // Large deferred subtrees (R can reach 8192, or the whole tree
-            // for a degenerate R) still classify in parallel; the output
+            // for a degenerate R) still partition in parallel; the output
             // is identical to the sequential path.
             nested: true,
             split: self.params.split,
             level_tasks: 1,
         };
-        let local_root = build_recursive(&ctx, (0..d.prims.len() as u32).collect(), d.bounds, 0);
+        // The subtree sorts its own events once, over local ids.
+        let prims = Prims::root(&local_bounds, ctx.split);
+        let local_root = build_recursive(&ctx, prims, d.bounds, 0);
         let root = remap_leaves(local_root, &d.prims);
         let tree = Arc::new(KdTree::from_build(Arc::clone(&self.mesh), d.bounds, root));
         *guard = Some(Arc::clone(&tree));

@@ -73,6 +73,24 @@ impl SahParams {
         n_total: usize,
     ) -> f32 {
         let area = bounds.surface_area();
+        self.split_cost_in(bounds, area, axis, pos, n_left, n_right, n_total)
+    }
+
+    /// [`SahParams::split_cost`] with the parent's surface area `area`
+    /// computed once by the caller — the sweep prices every candidate of
+    /// a node against the same parent.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub(crate) fn split_cost_in(
+        &self,
+        bounds: &Aabb,
+        area: f32,
+        axis: Axis,
+        pos: f32,
+        n_left: usize,
+        n_right: usize,
+        n_total: usize,
+    ) -> f32 {
         if area <= 0.0 {
             return f32::INFINITY;
         }

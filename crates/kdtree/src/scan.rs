@@ -1,19 +1,16 @@
-//! Parallel prefix (scan) primitives.
+//! The builders' and the renderer's fork-join substrate.
 //!
 //! Choi et al. describe the nested and in-place algorithms as "essentially
-//! a sequence of parallel prefix operations": count per chunk, scan the
-//! counts into offsets, then write each chunk's output at its offset. The
-//! helpers here implement exactly that pattern for the primitive
-//! classification pass.
+//! a sequence of parallel prefix operations". Here the builders' in-node
+//! parallelism is the partition of a node's presorted lists (one task per
+//! list, see `build.rs`), and the breadth-first builder fans each level's
+//! decisions out through [`par_map`] before a sequential prefix scan
+//! hands out the child slots.
 //!
 //! All fan-out is built on `rayon::join` (the one primitive guaranteed to
 //! fork real tasks) via [`par_map`], rather than on parallel-iterator
-//! combinators — so the count and scatter passes genuinely overlap, and
-//! results stay element-for-element deterministic because the halves are
-//! recombined in order.
-
-use crate::split::sides;
-use kdtune_geometry::{Aabb, Axis};
+//! combinators — so results stay element-for-element deterministic because
+//! the halves are recombined in order.
 
 /// Join-based ordered parallel map: splits `items` in halves down to
 /// roughly `tasks` leaf tasks, maps each leaf sequentially, and
@@ -41,145 +38,9 @@ where
     left
 }
 
-/// Exclusive prefix sum: returns `(offsets, total)` where
-/// `offsets[i] = sum(values[..i])`.
-pub fn exclusive_scan(values: &[usize]) -> (Vec<usize>, usize) {
-    let mut offsets = Vec::with_capacity(values.len());
-    let mut acc = 0usize;
-    for &v in values {
-        offsets.push(acc);
-        acc += v;
-    }
-    (offsets, acc)
-}
-
-/// Exclusive prefix sum over `(left, right)` count pairs in one pass:
-/// returns `(offsets, (left_total, right_total))` with
-/// `offsets[i] = (sum of lefts, sum of rights) over pairs[..i]`. Saves the
-/// classification scan from materializing two copied count vectors.
-pub fn exclusive_scan_pairs(pairs: &[(usize, usize)]) -> (Vec<(usize, usize)>, (usize, usize)) {
-    let mut offsets = Vec::with_capacity(pairs.len());
-    let (mut l_acc, mut r_acc) = (0usize, 0usize);
-    for &(l, r) in pairs {
-        offsets.push((l_acc, r_acc));
-        l_acc += l;
-        r_acc += r;
-    }
-    (offsets, (l_acc, r_acc))
-}
-
-/// Chunk size of the fork-join phases.
-pub(crate) const SCAN_CHUNK: usize = 2048;
-
-/// Primitives per task below which the classification passes stay on the
-/// calling thread. Classification is a cheap O(n) pass, so forking only
-/// amortizes the OS-thread fork/join cost once each task owns a very
-/// large slice; the count→scan→scatter structure (and its output) is the
-/// same either way.
-const SCAN_PAR_GRAIN: usize = 1 << 17;
-
-/// Parallel classification of `indices` against the plane `axis = pos`
-/// via count → scan → scatter:
-///
-/// 1. each chunk counts its left/right members in parallel,
-/// 2. an exclusive scan over the per-chunk counts yields write offsets,
-/// 3. each chunk writes its members at its offsets in parallel.
-///
-/// The output is element-for-element identical to the sequential
-/// [`crate::classify`] (chunk order is preserved).
-pub fn par_classify_scan(
-    bounds: &[Aabb],
-    indices: &[u32],
-    axis: Axis,
-    pos: f32,
-) -> (Vec<u32>, Vec<u32>) {
-    if indices.is_empty() {
-        return (Vec::new(), Vec::new());
-    }
-    let tasks = rayon::current_num_threads()
-        .max(1)
-        .min(indices.len() / SCAN_PAR_GRAIN + 1);
-    let chunks: Vec<&[u32]> = indices.chunks(SCAN_CHUNK).collect();
-    // Pass 1: per-chunk counts, caching each primitive's side flags so
-    // the scatter pass doesn't re-evaluate `sides`.
-    let counted: Vec<((usize, usize), Vec<u8>)> = par_map(chunks.clone(), tasks, &|chunk| {
-        let mut flags = Vec::with_capacity(chunk.len());
-        let mut l = 0;
-        let mut r = 0;
-        for &i in chunk {
-            let (sl, sr) = sides(&bounds[i as usize], axis, pos);
-            flags.push(sl as u8 | ((sr as u8) << 1));
-            l += sl as usize;
-            r += sr as usize;
-        }
-        ((l, r), flags)
-    });
-    let (counts, chunk_flags): (Vec<(usize, usize)>, Vec<Vec<u8>>) = counted.into_iter().unzip();
-    // Pass 2: one scan over the (l, r) pairs, no intermediate copies.
-    let (offsets, (l_total, r_total)) = exclusive_scan_pairs(&counts);
-    // Pass 3: parallel scatter into preallocated outputs. Each chunk owns
-    // a disjoint slice of the output, handed out by zipping the output
-    // buffers' own chunk decomposition with the input chunks.
-    let mut left = vec![0u32; l_total];
-    let mut right = vec![0u32; r_total];
-    {
-        // Split the output buffers into per-chunk windows.
-        let mut l_windows: Vec<&mut [u32]> = Vec::with_capacity(counts.len());
-        let mut r_windows: Vec<&mut [u32]> = Vec::with_capacity(counts.len());
-        let mut l_rest: &mut [u32] = &mut left;
-        let mut r_rest: &mut [u32] = &mut right;
-        for (k, (lc, rc)) in counts.iter().enumerate() {
-            debug_assert_eq!(
-                offsets[k].0 + lc,
-                offsets.get(k + 1).map_or(l_total, |o| o.0)
-            );
-            debug_assert_eq!(
-                offsets[k].1 + rc,
-                offsets.get(k + 1).map_or(r_total, |o| o.1)
-            );
-            let (lw, lr) = l_rest.split_at_mut(*lc);
-            let (rw, rr) = r_rest.split_at_mut(*rc);
-            l_windows.push(lw);
-            r_windows.push(rw);
-            l_rest = lr;
-            r_rest = rr;
-        }
-        // One scatter task: (input chunk, its cached side flags, and the
-        // disjoint left/right output windows it owns).
-        type ScatterTask<'a> = (&'a [u32], Vec<u8>, &'a mut [u32], &'a mut [u32]);
-        let work: Vec<ScatterTask<'_>> = chunks
-            .into_iter()
-            .zip(chunk_flags)
-            .zip(l_windows)
-            .zip(r_windows)
-            .map(|(((c, f), lw), rw)| (c, f, lw, rw))
-            .collect();
-        par_map(work, tasks, &|(chunk, flags, lw, rw)| {
-            let mut li = 0;
-            let mut ri = 0;
-            for (&i, &f) in chunk.iter().zip(&flags) {
-                if f & 1 != 0 {
-                    lw[li] = i;
-                    li += 1;
-                }
-                if f & 2 != 0 {
-                    rw[ri] = i;
-                    ri += 1;
-                }
-            }
-            debug_assert_eq!(li, lw.len());
-            debug_assert_eq!(ri, rw.len());
-        });
-    }
-    (left, right)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split::classify;
-    use kdtune_geometry::Vec3;
-    use proptest::prelude::*;
 
     /// The regression this PR exists for: the breadth-first fan-out must
     /// actually run on multiple OS threads when the pool is wide, and
@@ -251,76 +112,6 @@ mod tests {
         for tasks in [1, 2, 3, 7, 64] {
             let out = par_map((0..100).collect::<Vec<i32>>(), tasks, &|x| x * 2);
             assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<i32>>());
-        }
-    }
-
-    #[test]
-    fn exclusive_scan_basics() {
-        assert_eq!(exclusive_scan(&[]), (vec![], 0));
-        assert_eq!(exclusive_scan(&[5]), (vec![0], 5));
-        assert_eq!(exclusive_scan(&[1, 2, 3]), (vec![0, 1, 3], 6));
-        assert_eq!(exclusive_scan(&[0, 0, 4, 0]), (vec![0, 0, 0, 4], 4));
-    }
-
-    #[test]
-    fn exclusive_scan_pairs_matches_componentwise_scans() {
-        assert_eq!(exclusive_scan_pairs(&[]), (vec![], (0, 0)));
-        let pairs = [(1, 4), (0, 2), (3, 0), (2, 2)];
-        let (offsets, totals) = exclusive_scan_pairs(&pairs);
-        let (l, lt) = exclusive_scan(&pairs.iter().map(|p| p.0).collect::<Vec<_>>());
-        let (r, rt) = exclusive_scan(&pairs.iter().map(|p| p.1).collect::<Vec<_>>());
-        assert_eq!(totals, (lt, rt));
-        assert_eq!(offsets, l.into_iter().zip(r).collect::<Vec<_>>());
-    }
-
-    fn slab(lo: f32, hi: f32) -> Aabb {
-        Aabb::new(Vec3::new(lo, 0.0, 0.0), Vec3::new(hi, 1.0, 1.0))
-    }
-
-    #[test]
-    fn matches_sequential_on_small_input() {
-        let bounds = vec![
-            slab(0.0, 0.3),
-            slab(0.2, 0.8),
-            slab(0.6, 1.0),
-            slab(0.5, 0.5),
-        ];
-        let idx: Vec<u32> = (0..4).collect();
-        let seq = classify(&bounds, &idx, Axis::X, 0.5);
-        let par = par_classify_scan(&bounds, &idx, Axis::X, 0.5);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn empty_input() {
-        let (l, r) = par_classify_scan(&[], &[], Axis::X, 0.5);
-        assert!(l.is_empty() && r.is_empty());
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// Element-for-element identical to the sequential classify, even
-        /// across multiple chunks.
-        #[test]
-        fn matches_sequential_classify(
-            n in 1usize..6000,
-            seed in 0u64..1000,
-            pos in 0.0f32..1.0,
-        ) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let bounds: Vec<Aabb> = (0..n)
-                .map(|_| {
-                    let a: f32 = rng.gen();
-                    let b: f32 = rng.gen();
-                    slab(a.min(b), a.max(b))
-                })
-                .collect();
-            let idx: Vec<u32> = (0..n as u32).collect();
-            let seq = classify(&bounds, &idx, Axis::X, pos);
-            let par = par_classify_scan(&bounds, &idx, Axis::X, pos);
-            prop_assert_eq!(seq, par);
         }
     }
 }

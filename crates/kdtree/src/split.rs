@@ -2,10 +2,13 @@
 //!
 //! The sweep here is the event-based search of Wald & Havran: for each axis
 //! the candidate planes are the primitive bound extrema, visited in sorted
-//! order while incrementally maintaining the left/right counts. (We re-sort
-//! events per node — O(n log² n) over the whole build — rather than
-//! threading sorted event lists through the recursion; this is the common
-//! implementation choice and does not change which planes are found.)
+//! order while incrementally maintaining the left/right counts. The
+//! builders sort each axis's events once per build ([`sorted_events`]) and
+//! at every split partition the sorted lists stably into the two children
+//! ([`partition_by_plane`]), so the whole build is O(n log n). The per-node
+//! searches ([`best_split_sweep`], [`best_split_sweep_idx`]) collect and
+//! sort a fresh event list on every call; they are the reference the
+//! builders are tested against.
 
 use crate::SahParams;
 use kdtune_geometry::{Aabb, Axis};
@@ -42,14 +45,124 @@ pub(crate) fn sides(b: &Aabb, axis: Axis, pos: f32) -> (bool, bool) {
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum EventKind {
-    // Order matters: at equal positions, End events are processed before
-    // Planar before Start so the incremental counts match `sides`.
+    // The sweep counts all events at one position before pricing the
+    // plane there, so the kind order at equal positions only fixes one
+    // canonical list order; the discriminants index the sweep's counts.
     End = 0,
     Planar = 1,
     Start = 2,
 }
 
-/// Builds the sorted event list for one axis from an iterator of bounds.
+/// Bits of an [`Event`]'s low word that hold the primitive id.
+const PRIM_BITS: u32 = 30;
+
+/// Number of primitives a build can address with packed events.
+const MAX_EVENT_PRIMS: usize = 1 << PRIM_BITS;
+
+/// One split-candidate event in 8 bytes: the high word is the position's
+/// `f32::total_cmp` order key, the low word the kind (top two bits) above
+/// the primitive id. Integer order is therefore the sweep order — position
+/// by `total_cmp`, then End before Planar before Start — with the id as a
+/// final tie-break the sweep never looks at.
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Event(u64);
+
+impl Event {
+    fn new(pos: f32, kind: EventKind, prim: u32) -> Event {
+        let bits = pos.to_bits();
+        // Negative floats flip entirely, the rest gain the sign bit.
+        let key = bits ^ ((bits as i32 >> 31) as u32 | 0x8000_0000);
+        Event(u64::from(key) << 32 | u64::from(kind as u32) << PRIM_BITS | u64::from(prim))
+    }
+
+    fn pos(self) -> f32 {
+        let key = (self.0 >> 32) as u32;
+        f32::from_bits(key ^ ((!key as i32 >> 31) as u32 | 0x8000_0000))
+    }
+
+    fn kind(self) -> EventKind {
+        match (self.0 as u32) >> PRIM_BITS {
+            0 => EventKind::End,
+            1 => EventKind::Planar,
+            _ => EventKind::Start,
+        }
+    }
+
+    pub(crate) fn prim(self) -> usize {
+        (self.0 as usize) & (MAX_EVENT_PRIMS - 1)
+    }
+}
+
+/// Number of events a primitive has on `axis` (see [`prim_events`]).
+#[inline]
+pub(crate) fn event_count(b: &Aabb, axis: Axis) -> usize {
+    if b.min[axis] == b.max[axis] {
+        1
+    } else {
+        2
+    }
+}
+
+/// Emits one primitive's events on `axis`: a Start/End pair, or a single
+/// Planar event when its bounds are flat along `axis`.
+#[inline]
+fn prim_events(b: &Aabb, axis: Axis, mut emit: impl FnMut(f32, EventKind)) {
+    let (lo, hi) = (b.min[axis], b.max[axis]);
+    if event_count(b, axis) == 1 {
+        emit(lo, EventKind::Planar);
+    } else {
+        emit(lo, EventKind::Start);
+        emit(hi, EventKind::End);
+    }
+}
+
+/// All primitives' events on `axis`, in sweep order. The builders call
+/// this once per axis per build (and per expanded lazy subtree); `bounds`
+/// is indexed by primitive id and must hold fewer than
+/// [`MAX_EVENT_PRIMS`] entries.
+pub(crate) fn sorted_events(bounds: &[Aabb], axis: Axis) -> Vec<Event> {
+    assert!(bounds.len() < MAX_EVENT_PRIMS, "too many primitives");
+    let mut events = Vec::with_capacity(2 * bounds.len());
+    for (i, b) in bounds.iter().enumerate() {
+        prim_events(b, axis, |pos, kind| {
+            events.push(Event::new(pos, kind, i as u32))
+        });
+    }
+    events.sort_unstable();
+    events
+}
+
+/// Stable partition of a node's list (its ids, or its events on one
+/// axis) by the plane `axis = pos`: each item follows its primitive's
+/// [`sides`] — straddlers both ways — so both outputs keep the input
+/// order. `left` and `right` must be exactly as long as that assignment
+/// makes them.
+pub(crate) fn partition_by_plane<T: Copy>(
+    bounds: &[Aabb],
+    items: &[T],
+    prim: impl Fn(T) -> usize,
+    axis: Axis,
+    pos: f32,
+    left: &mut [T],
+    right: &mut [T],
+) {
+    let (mut l, mut r) = (0, 0);
+    for &item in items {
+        let (to_left, to_right) = sides(&bounds[prim(item)], axis, pos);
+        if to_left {
+            left[l] = item;
+            l += 1;
+        }
+        if to_right {
+            right[r] = item;
+            r += 1;
+        }
+    }
+    debug_assert_eq!((l, r), (left.len(), right.len()));
+}
+
+/// Builds the sorted per-node event list for one axis from an iterator of
+/// bounds (the reference searches only; the builders presort).
 fn collect_events<'a>(
     bounds: impl Iterator<Item = &'a Aabb>,
     capacity: usize,
@@ -57,13 +170,7 @@ fn collect_events<'a>(
 ) -> Vec<(f32, EventKind)> {
     let mut events: Vec<(f32, EventKind)> = Vec::with_capacity(2 * capacity);
     for b in bounds {
-        let (lo, hi) = (b.min[axis], b.max[axis]);
-        if lo == hi {
-            events.push((lo, EventKind::Planar));
-        } else {
-            events.push((lo, EventKind::Start));
-            events.push((hi, EventKind::End));
-        }
+        prim_events(b, axis, |pos, kind| events.push((pos, kind)));
     }
     // total_cmp, not partial_cmp().unwrap(): NaN bounds from degenerate
     // meshes must not panic the build. NaN sorts after +inf and is
@@ -72,36 +179,40 @@ fn collect_events<'a>(
     events
 }
 
-/// Sweeps a sorted event list, returning the best plane on that axis.
-/// Shared with the sort-once builder in `build.rs`, which maintains its own
-/// presorted event lists and must select identical planes.
-pub(crate) fn sweep_events(
-    events: &[(f32, EventKind)],
+/// Sweeps an event list in sweep order, returning the best plane on that
+/// axis. `at` reads an event's position and kind, so the builders'
+/// presorted lists and the per-node reference lists share this loop.
+fn sweep_events<E: Copy>(
+    events: &[E],
+    at: impl Fn(E) -> (f32, EventKind),
     n: usize,
     node: &Aabb,
     sah: &SahParams,
     axis: Axis,
 ) -> Option<SplitPlane> {
     let (node_lo, node_hi) = (node.min[axis], node.max[axis]);
+    let area = node.surface_area();
     let mut best: Option<SplitPlane> = None;
     let mut n_left = 0usize;
     let mut n_right = n;
     let mut i = 0;
     while i < events.len() {
-        let pos = events[i].0;
-        let (mut ends, mut planars, mut starts) = (0usize, 0usize, 0usize);
-        while i < events.len() && events[i].0 == pos {
-            match events[i].1 {
-                EventKind::End => ends += 1,
-                EventKind::Planar => planars += 1,
-                EventKind::Start => starts += 1,
+        let pos = at(events[i]).0;
+        // Counted by kind without branching on it: kinds come unordered.
+        let mut counts = [0usize; 3];
+        while i < events.len() {
+            let (p, kind) = at(events[i]);
+            if p != pos {
+                break;
             }
+            counts[kind as usize] += 1;
             i += 1;
         }
+        let [ends, planars, starts] = counts;
         n_right -= ends + planars;
         if pos > node_lo && pos < node_hi {
             let nl = n_left + planars;
-            let cost = sah.split_cost(node, axis, pos, nl, n_right, n);
+            let cost = sah.split_cost_in(node, area, axis, pos, nl, n_right, n);
             if best.is_none_or(|b| cost < b.cost) {
                 best = Some(SplitPlane {
                     axis,
@@ -117,98 +228,61 @@ pub(crate) fn sweep_events(
     best
 }
 
-/// Finds the minimum-SAH-cost plane on one axis over a dense bounds slice.
-pub(crate) fn best_split_axis(
-    bounds: &[Aabb],
-    node: &Aabb,
-    sah: &SahParams,
-    axis: Axis,
-) -> Option<SplitPlane> {
-    if bounds.is_empty() {
-        return None;
-    }
-    let events = collect_events(bounds.iter(), bounds.len(), axis);
-    sweep_events(&events, bounds.len(), node, sah, axis)
+/// Reduces per-axis candidates in axis order with a strict comparison, so
+/// ties resolve to the earliest axis.
+fn min_cost(candidates: [Option<SplitPlane>; 3]) -> Option<SplitPlane> {
+    candidates
+        .into_iter()
+        .flatten()
+        .reduce(|best, p| if p.cost < best.cost { p } else { best })
 }
 
-/// Finds the minimum-SAH-cost plane on one axis for the primitives selected
-/// by `indices` (the builders' working sets).
-pub(crate) fn best_split_axis_idx(
-    bounds: &[Aabb],
-    indices: &[u32],
+/// Finds the minimum-SAH-cost plane over a node's presorted per-axis event
+/// lists (`n` primitives). With `fork`, the three sweeps run as rayon
+/// tasks; the reduction is the same, so the plane is too.
+pub(crate) fn best_split_presorted(
+    events: [&[Event]; 3],
+    n: usize,
     node: &Aabb,
     sah: &SahParams,
-    axis: Axis,
+    fork: bool,
 ) -> Option<SplitPlane> {
-    if indices.is_empty() {
-        return None;
+    let sweep = |axis: Axis| {
+        let at = |e: Event| (e.pos(), e.kind());
+        sweep_events(events[axis as usize], at, n, node, sah, axis)
+    };
+    if fork {
+        let ((x, y), z) = rayon::join(
+            || rayon::join(|| sweep(Axis::X), || sweep(Axis::Y)),
+            || sweep(Axis::Z),
+        );
+        min_cost([x, y, z])
+    } else {
+        min_cost(Axis::ALL.map(sweep))
     }
-    let events = collect_events(
-        indices.iter().map(|&i| &bounds[i as usize]),
-        indices.len(),
-        axis,
-    );
-    sweep_events(&events, indices.len(), node, sah, axis)
 }
 
 /// Finds the minimum-SAH-cost split plane over all three axes with the
-/// O(n log n) event sweep. Returns `None` when no candidate plane lies
-/// strictly inside the node (e.g. all primitives span the whole node).
+/// event sweep. Returns `None` when no candidate plane lies strictly
+/// inside the node (e.g. all primitives span the whole node).
 pub fn best_split_sweep(bounds: &[Aabb], node: &Aabb, sah: &SahParams) -> Option<SplitPlane> {
-    let mut best: Option<SplitPlane> = None;
-    for axis in Axis::ALL {
-        if let Some(p) = best_split_axis(bounds, node, sah, axis) {
-            if best.is_none_or(|b| p.cost < b.cost) {
-                best = Some(p);
-            }
-        }
-    }
-    best
+    let indices: Vec<u32> = (0..bounds.len() as u32).collect();
+    best_split_sweep_idx(bounds, &indices, node, sah)
 }
 
 /// Indexed variant of [`best_split_sweep`]: searches only the primitives in
-/// `indices`.
+/// `indices`, sorting their events afresh for this one node.
 pub fn best_split_sweep_idx(
     bounds: &[Aabb],
     indices: &[u32],
     node: &Aabb,
     sah: &SahParams,
 ) -> Option<SplitPlane> {
-    let mut best: Option<SplitPlane> = None;
-    for axis in Axis::ALL {
-        if let Some(p) = best_split_axis_idx(bounds, indices, node, sah, axis) {
-            if best.is_none_or(|b| p.cost < b.cost) {
-                best = Some(p);
-            }
-        }
-    }
-    best
-}
-
-/// Parallel variant of [`best_split_sweep_idx`]: the three per-axis sweeps
-/// run as rayon tasks. The candidates are reduced in axis order with the
-/// same strict comparison, so ties resolve to the sequential winner and
-/// the selected plane is identical. Worth it only for large nodes — the
-/// builders fork from `choose_split` above their in-node threshold.
-pub fn best_split_sweep_idx_par(
-    bounds: &[Aabb],
-    indices: &[u32],
-    node: &Aabb,
-    sah: &SahParams,
-) -> Option<SplitPlane> {
-    let ((x, y), z) = rayon::join(
-        || {
-            rayon::join(
-                || best_split_axis_idx(bounds, indices, node, sah, Axis::X),
-                || best_split_axis_idx(bounds, indices, node, sah, Axis::Y),
-            )
-        },
-        || best_split_axis_idx(bounds, indices, node, sah, Axis::Z),
-    );
-    [x, y, z]
-        .into_iter()
-        .flatten()
-        .reduce(|best, p| if p.cost < best.cost { p } else { best })
+    min_cost(Axis::ALL.map(|axis| {
+        let prims = indices.iter().map(|&i| &bounds[i as usize]);
+        let events = collect_events(prims, indices.len(), axis);
+        sweep_events(&events, |e| e, indices.len(), node, sah, axis)
+    }))
 }
 
 /// O(n²) reference implementation of the split search: evaluates the SAH at
@@ -369,6 +443,42 @@ mod tests {
         assert_eq!(dup_costly, 0);
     }
 
+    /// Packed events order exactly as (`total_cmp` position, kind,
+    /// primitive) and give back their position bit for bit.
+    #[test]
+    fn packed_events_keep_total_order_and_bits() {
+        let positions = [
+            f32::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            1e-30,
+            2.5,
+            f32::INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        let kinds = [EventKind::End, EventKind::Planar, EventKind::Start];
+        let mut events = Vec::new();
+        for (i, &pos) in positions.iter().enumerate() {
+            for kind in kinds {
+                let e = Event::new(pos, kind, i as u32);
+                assert_eq!(e.pos().to_bits(), pos.to_bits());
+                assert_eq!((e.kind(), e.prim()), (kind, i));
+                events.push((e, pos, kind, i));
+            }
+        }
+        for (a, pa, ka, ia) in &events {
+            for (b, pb, kb, ib) in &events {
+                let expected = pa
+                    .total_cmp(pb)
+                    .then((*ka as u8).cmp(&(*kb as u8)))
+                    .then(ia.cmp(ib));
+                assert_eq!(a.cmp(b), expected, "{pa} {ka:?} vs {pb} {kb:?}");
+            }
+        }
+    }
+
     fn arb_bounds(n: usize) -> impl Strategy<Value = Vec<Aabb>> {
         proptest::collection::vec(
             (
@@ -419,16 +529,20 @@ mod tests {
             }
         }
 
-        /// The parallel 3-axis sweep selects exactly the sequential plane
-        /// (bit-identical, including tie-breaks).
+        /// The sweep over presorted lists, forked over the axes or not,
+        /// selects exactly the per-node reference plane.
         #[test]
-        fn par_sweep_matches_sequential(bounds in arb_bounds(24)) {
+        fn presorted_sweep_matches_per_node_sweep(bounds in arb_bounds(24)) {
             let sah = SahParams::default();
             let node = unit();
             let idx: Vec<u32> = (0..bounds.len() as u32).collect();
-            let s = best_split_sweep_idx(&bounds, &idx, &node, &sah);
-            let p = best_split_sweep_idx_par(&bounds, &idx, &node, &sah);
-            prop_assert_eq!(s, p);
+            let events = Axis::ALL.map(|axis| sorted_events(&bounds, axis));
+            let lists = [&events[0][..], &events[1][..], &events[2][..]];
+            let reference = best_split_sweep_idx(&bounds, &idx, &node, &sah);
+            for fork in [false, true] {
+                let p = best_split_presorted(lists, bounds.len(), &node, &sah, fork);
+                prop_assert_eq!(p, reference);
+            }
         }
 
         /// Lowering CB can only lower (or keep) the optimal cost.

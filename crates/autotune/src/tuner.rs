@@ -81,6 +81,7 @@ pub struct Measurement {
 const WARM_START_SPREAD: f64 = 0.08;
 
 /// Configures and creates a [`Tuner`].
+#[derive(Clone)]
 pub struct TunerBuilder {
     seed: u64,
     seed_samples: usize,
@@ -169,7 +170,7 @@ impl TunerBuilder {
     ///
     /// Instead of `seed_samples` uniform random probes, the first search
     /// round evaluates the stored configuration plus `dim` jittered
-    /// neighbours (±[`WARM_START_SPREAD`] per normalized coordinate), so
+    /// neighbours (±0.08 per normalized coordinate), so
     /// the simplex starts an order of magnitude tighter and converges in
     /// correspondingly fewer measurement cycles. Drift re-tunes ignore the
     /// warm start — a re-tune fires precisely because the stored optimum
@@ -281,6 +282,12 @@ impl Tuner {
             "parameters must be registered before the first start()"
         );
         self.space.add(spec)
+    }
+
+    /// The settings this tuner was built with, e.g. to build a fresh
+    /// tuner that differs in one of them.
+    pub fn settings(&self) -> &TunerBuilder {
+        &self.builder
     }
 
     /// The search space assembled so far.

@@ -4,6 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kdtune_autotune::Tuner;
+use kdtune_kdtree::Algorithm;
+use kdtune_raycast::register_space;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -18,10 +20,7 @@ fn bench_tuner(c: &mut Criterion) {
 
     group.bench_function("cycle_4params", |b| {
         let mut tuner = Tuner::builder().seed(1).build();
-        let ci = tuner.register_parameter("CI", 3, 101, 1);
-        let _cb = tuner.register_parameter("CB", 0, 60, 1);
-        let _s = tuner.register_parameter("S", 1, 8, 1);
-        let _r = tuner.register_parameter_pow2("R", 16, 8192);
+        let ci = register_space(&mut tuner, Algorithm::Lazy, false).ci;
         b.iter(|| {
             tuner.start_cycle();
             let v = tuner.get(ci) as f64;

@@ -22,19 +22,18 @@
 //! workload. Emits `BENCH_query.json` into `--out <dir>` (default
 //! `results/`); pass `--smoke` for a seconds-long CI-sized run.
 
-use kdtune::{build, Algorithm, BuildParams, BuiltTree, Tuner};
+use kdtune::{build, Algorithm, BuildParams, Tuner, TuningWorkflow};
 use kdtune_bench::cli::ExperimentArgs;
 use kdtune_bench::stats::median;
 use kdtune_geometry::{TriangleMesh, Vec3};
-use kdtune_kdtree::{KdTree, Neighbor};
-use kdtune_raycast::{render_with, Camera};
+use kdtune_raycast::{build_params, render_with, Camera};
 use kdtune_scenes::{by_name, sample_points, PointSampler, SceneParams};
+// The renderd query session's seed and batch kernels, so both tune alike.
+use kdtune_server::session::{build_eager, run_query_batch, SESSION_TUNER_SEED};
 use kdtune_telemetry::json::JsonValue;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Same fixed seed the renderd sessions use, for comparable trajectories.
-const TUNER_SEED: u64 = 2016;
 /// Point-set seed for tuning cycles (fixed: a stable cost surface).
 const TUNE_POINTS_SEED: u64 = 7;
 /// Point-set seed for the cross-evaluation (held out from tuning).
@@ -50,39 +49,6 @@ struct BenchSettings {
     repeats: usize,
 }
 
-/// Converts tuned search-space values back into build parameters —
-/// mirrors `kdtune-server`'s session mapping (`[CI, CB, S]`, defaults
-/// 17/10/3).
-fn params_from_values(values: &[i64]) -> BuildParams {
-    let get = |i: usize, default: i64| values.get(i).copied().unwrap_or(default);
-    BuildParams::from_config(get(0, 17) as f32, get(1, 10) as f32, get(2, 3) as u32, 4096)
-}
-
-/// Builds and, for lazy trees, fully expands — point queries walk the
-/// whole structure, so the tree must be eager.
-fn build_eager(mesh: Arc<TriangleMesh>, algorithm: Algorithm, params: &BuildParams) -> KdTree {
-    match build(mesh, algorithm, params) {
-        BuiltTree::Eager(tree) => tree,
-        BuiltTree::Lazy(lazy) => lazy.to_eager(),
-    }
-}
-
-/// One k-NN + radius-gather pass over `points`, reusing the result
-/// buffers across queries like the server's batch runner. Returns the
-/// total result count so the work cannot be optimized away.
-fn run_query_batch(tree: &KdTree, points: &[Vec3], k: usize, radius: f32) -> u64 {
-    let mut knn_buf: Vec<Neighbor> = Vec::with_capacity(k);
-    let mut radius_buf: Vec<Neighbor> = Vec::new();
-    let mut results = 0u64;
-    for &p in points {
-        tree.knn_into(p, k, &mut knn_buf);
-        results += knn_buf.len() as u64;
-        tree.radius_gather_into(p, radius, &mut radius_buf);
-        results += radius_buf.len() as u64;
-    }
-    results
-}
-
 struct TuneOutcome {
     values: Vec<i64>,
     best_cost_secs: f64,
@@ -91,28 +57,20 @@ struct TuneOutcome {
 }
 
 /// Runs one Nelder-Mead tuner to convergence (or `max_steps`) over the
-/// eager `[CI, CB, S]` space, measuring `cost` per cycle.
+/// eager `[CI, CB, S]` space through the shared budget loop, measuring
+/// `cost` per cycle.
 fn tune(
     warm: Option<&[i64]>,
     max_steps: usize,
     mut cost: impl FnMut(&BuildParams) -> f64,
 ) -> TuneOutcome {
-    let mut builder = Tuner::builder().seed(TUNER_SEED);
+    let mut builder = Tuner::builder().seed(SESSION_TUNER_SEED);
     if let Some(values) = warm {
         builder = builder.warm_start(values);
     }
-    let mut tuner = builder.build();
-    let ci = tuner.register_parameter("CI", 3, 101, 1);
-    let cb = tuner.register_parameter("CB", 0, 60, 1);
-    let s = tuner.register_parameter("S", 1, 8, 1);
-    let mut steps = 0;
-    while !tuner.converged() && steps < max_steps {
-        tuner.start_cycle();
-        let values = [tuner.get(ci), tuner.get(cb), tuner.get(s)];
-        let params = params_from_values(&values);
-        tuner.stop_with(cost(&params));
-        steps += 1;
-    }
+    let mut workflow = TuningWorkflow::new(Algorithm::InPlace, builder.build(), false);
+    let (steps, _) = workflow.run_budget(max_steps, |wf| wf.measure(|_, p| (cost(&p), ())));
+    let tuner = workflow.tuner();
     let (best, best_cost_secs) = tuner.best().expect("at least one measured cycle");
     TuneOutcome {
         values: best.values().to_vec(),
@@ -264,8 +222,8 @@ fn main() {
 
         // Cross table on held-out eval points: each workload's cycle cost
         // under each tuned configuration.
-        let rp = params_from_values(&render_tuned.values);
-        let qp = params_from_values(&query_cold.values);
+        let rp = build_params(Algorithm::InPlace, &render_tuned.values);
+        let qp = build_params(Algorithm::InPlace, &query_cold.values);
         let query_under_render =
             query_cycle_secs(&mesh, &eval_points, settings.k, radius, &rp, repeats);
         let query_under_query =
@@ -350,7 +308,7 @@ fn main() {
         ("radius_pm", settings.radius_pm.into()),
         ("max_steps", settings.max_steps.into()),
         ("repeats", repeats.into()),
-        ("tuner_seed", TUNER_SEED.into()),
+        ("tuner_seed", SESSION_TUNER_SEED.into()),
         ("scenes", scene_rows.into()),
     ]);
     let out_dir = args

@@ -114,7 +114,7 @@ pub fn tune_scene(
         })
         .render_options(opts.render_options)
         .tuner_seed(seed);
-    let (_, converged) = pipeline.run_until_converged(opts.max_tuning_frames);
+    let converged = pipeline.run_until_converged(opts.max_tuning_frames);
 
     // Steady state at the tuned configuration. The baseline window starts
     // at the same pipeline *step* index, so on repeated dynamic scenes it

@@ -1,7 +1,8 @@
 //! The paper's canonical configurations and search space.
 
-use kdtune_autotune::{Config, ParamSpec, SearchSpace};
+use kdtune_autotune::{Config, SearchSpace, Tuner};
 use kdtune_kdtree::{Algorithm, BuildParams};
+use kdtune_raycast::register_space;
 
 /// The manually crafted base configuration `C_base = (17, 10, 3, 2^12)`
 /// from §V-C, "based on best practices and recommendations from
@@ -26,16 +27,12 @@ pub fn base_build_params() -> BuildParams {
 
 /// The tuning search space of Table II for the given algorithm:
 /// `CI ∈ [3, 101]`, `CB ∈ [0, 60]`, `S ∈ [1, 8]`, and for the lazy
-/// algorithm additionally `R ∈ [16, 8192]` (powers of two).
+/// algorithm additionally `R ∈ [16, 8192]` (powers of two) — the space
+/// [`register_space`] registers on every online tuner.
 pub fn tuning_space(algorithm: Algorithm) -> SearchSpace {
-    let mut space = SearchSpace::new();
-    space.add(ParamSpec::linear("CI", 3, 101, 1));
-    space.add(ParamSpec::linear("CB", 0, 60, 1));
-    space.add(ParamSpec::linear("S", 1, 8, 1));
-    if algorithm == Algorithm::Lazy {
-        space.add(ParamSpec::pow2("R", 16, 8192));
-    }
-    space
+    let mut tuner = Tuner::new();
+    register_space(&mut tuner, algorithm, false);
+    tuner.space().clone()
 }
 
 #[cfg(test)]

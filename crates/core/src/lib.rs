@@ -54,7 +54,7 @@ pub use config::{base_build_params, base_config, tuning_space, BASE_CONFIG};
 pub use cost_model::StructuralCostModel;
 pub use kdtune_autotune::{Config, SearchSpace, Tuner, TunerPhase};
 pub use kdtune_kdtree::{build, Algorithm, BuildParams, BuiltTree, RayQuery, SahParams, TreeStats};
-pub use kdtune_raycast::{Camera, FrameReport, RenderOptions, TuningWorkflow};
+pub use kdtune_raycast::{Camera, FrameReport, RenderOptions, StopReason, TuningWorkflow};
 pub use kdtune_scenes::{Scene, SceneParams, ViewSpec};
-pub use pipeline::{PipelineReport, StopReason, TunedPipeline};
+pub use pipeline::TunedPipeline;
 pub use selector::{select_algorithm, AlgorithmCandidate, SelectionReport, SelectorOpts};

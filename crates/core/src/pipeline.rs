@@ -1,70 +1,23 @@
-//! High-level tuned rendering pipeline over a [`Scene`].
+//! High-level tuned rendering pipeline over a [`Scene`]: a scene, a
+//! camera and a [`TuningWorkflow`], stepped one frame at a time (Fig. 4).
+//!
+//! The pipeline adds only the animation — which mesh the next step renders
+//! — and the untuned baseline. The tuner, its settings and its budget loop
+//! live in the workflow, each once.
 
 use crate::config::base_build_params;
-use kdtune_autotune::Tuner;
+use kdtune_autotune::{Tuner, TunerBuilder};
 use kdtune_geometry::Vec3;
 use kdtune_kdtree::Algorithm;
-use kdtune_raycast::{run_frame_with_options, Camera, FrameReport, RenderOptions, TuningWorkflow};
+use kdtune_raycast::{
+    run_frame_with_options, Camera, FrameReport, RenderOptions, StopReason, TuningWorkflow,
+};
 use kdtune_scenes::Scene;
-use kdtune_telemetry as telemetry;
 
 /// Default experiment raster (the paper does not report its resolution;
 /// renders scale linearly in pixel count, so experiments pick sizes that
 /// fit their time budget).
 const DEFAULT_RES: u32 = 128;
-
-/// Why a budgeted convergence run stopped — distinct outcomes matter to
-/// long-running callers (the render service only persists a tuned
-/// configuration to its store when the tuner actually converged, never
-/// when the frame budget simply ran out).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StopReason {
-    /// The tuner's search round converged within the budget.
-    Converged,
-    /// The step budget elapsed first.
-    FrameBudget,
-}
-
-impl StopReason {
-    /// Stable lowercase name, used in telemetry events and wire responses.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StopReason::Converged => "converged",
-            StopReason::FrameBudget => "frame_budget",
-        }
-    }
-
-    /// True for [`StopReason::Converged`].
-    pub fn is_converged(self) -> bool {
-        self == StopReason::Converged
-    }
-}
-
-impl std::fmt::Display for StopReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Summary of a pipeline run.
-#[derive(Clone, Debug)]
-pub struct PipelineReport {
-    /// Per-frame reports, in order.
-    pub frames: Vec<FrameReport>,
-}
-
-impl PipelineReport {
-    /// Median total frame time over the last `window` frames (steady-state
-    /// cost once the tuner has converged).
-    pub fn median_recent_total(&self, window: usize) -> f64 {
-        let n = self.frames.len();
-        assert!(n > 0, "no frames recorded");
-        let tail = &self.frames[n.saturating_sub(window)..];
-        let mut v: Vec<f64> = tail.iter().map(|f| f.total_secs).collect();
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    }
-}
 
 /// A scene + algorithm + tuner, stepped one frame at a time (Fig. 4).
 pub struct TunedPipeline {
@@ -72,12 +25,7 @@ pub struct TunedPipeline {
     workflow: TuningWorkflow,
     camera: Camera,
     light: Vec3,
-    frame: usize,
     frame_repeat: usize,
-    reports: Vec<FrameReport>,
-    seed: u64,
-    warm: Option<Vec<i64>>,
-    tune_packets: bool,
 }
 
 impl TunedPipeline {
@@ -87,34 +35,34 @@ impl TunedPipeline {
         let v = scene.view;
         let camera = Camera::look_at(v.eye, v.target, v.up, v.fov_deg, DEFAULT_RES, DEFAULT_RES);
         TunedPipeline {
-            workflow: TuningWorkflow::new(algorithm, 0x7e57),
+            workflow: TuningWorkflow::new(algorithm, Tuner::builder().seed(0x7e57).build(), false),
             camera,
             light: v.light,
             scene,
-            frame: 0,
             frame_repeat: 1,
-            reports: Vec::new(),
-            seed: 0x7e57,
-            warm: None,
-            tune_packets: false,
         }
     }
 
-    /// Rebuilds the workflow with the current seed/warm-start settings,
-    /// preserving render options (fresh pipelines only).
-    fn rebuild_workflow(&mut self) {
-        let options = self.workflow.render_options();
-        let algorithm = self.workflow.algorithm();
-        let mut builder = Tuner::builder().seed(self.seed);
-        if let Some(values) = &self.warm {
-            builder = builder.warm_start(values);
-        }
-        let mut workflow =
-            TuningWorkflow::with_tuner(algorithm, builder.build()).with_render_options(options);
-        if self.tune_packets {
-            workflow = workflow.tune_packets();
-        }
-        self.workflow = workflow;
+    /// Replaces the not-yet-stepped workflow's tuner with one whose
+    /// settings `change` derives from the current ones, adding the packet
+    /// axes when `packets` is set. Everything else carries over from the
+    /// workflow itself, so every setting is stored exactly once.
+    fn retune(
+        mut self,
+        change: impl FnOnce(TunerBuilder) -> TunerBuilder,
+        packets: bool,
+    ) -> TunedPipeline {
+        assert_eq!(
+            self.steps_taken(),
+            0,
+            "tuner settings must be set before stepping"
+        );
+        let old = &self.workflow;
+        let packets = packets || old.handles().packet_width.is_some();
+        let tuner = change(old.tuner().settings().clone()).build();
+        self.workflow = TuningWorkflow::new(old.algorithm(), tuner, packets)
+            .with_render_options(old.render_options());
+        self
     }
 
     /// Repeats every animation frame `k` times (the paper extends the
@@ -135,11 +83,8 @@ impl TunedPipeline {
     ///
     /// # Panics
     /// Panics after stepping has begun.
-    pub fn tuner_seed(mut self, seed: u64) -> TunedPipeline {
-        assert_eq!(self.frame, 0, "seed must be set before stepping");
-        self.seed = seed;
-        self.rebuild_workflow();
-        self
+    pub fn tuner_seed(self, seed: u64) -> TunedPipeline {
+        self.retune(|t| t.seed(seed), false)
     }
 
     /// Warm-starts the tuner from a known-good configuration (raw
@@ -149,11 +94,8 @@ impl TunedPipeline {
     ///
     /// # Panics
     /// Panics after stepping has begun.
-    pub fn warm_start(mut self, values: &[i64]) -> TunedPipeline {
-        assert_eq!(self.frame, 0, "warm start must be set before stepping");
-        self.warm = Some(values.to_vec());
-        self.rebuild_workflow();
-        self
+    pub fn warm_start(self, values: &[i64]) -> TunedPipeline {
+        self.retune(|t| t.warm_start(values), false)
     }
 
     /// Adds the packet axes (`W` ∈ {1, 4, 8} and `MA` = min-active lanes)
@@ -163,11 +105,8 @@ impl TunedPipeline {
     ///
     /// # Panics
     /// Panics after stepping has begun.
-    pub fn tune_packets(mut self) -> TunedPipeline {
-        assert_eq!(self.frame, 0, "packet axes must be enabled before stepping");
-        self.tune_packets = true;
-        self.rebuild_workflow();
-        self
+    pub fn tune_packets(self) -> TunedPipeline {
+        self.retune(|t| t, true)
     }
 
     /// Selects scalar or packet ray tracing for tuned frames *and* the
@@ -190,83 +129,50 @@ impl TunedPipeline {
 
     /// Runs one tuned frame and advances the animation.
     pub fn step(&mut self) -> FrameReport {
-        let mesh = self.scene.frame(self.frame / self.frame_repeat);
-        self.frame += 1;
-        let report = self.workflow.run_frame(mesh, &self.camera, self.light);
-        self.reports.push(report.clone());
-        report
+        let mesh = self.scene.frame(self.next_frame_index());
+        self.workflow.run_frame(mesh, &self.camera, self.light)
     }
 
     /// The animation frame index the next [`TunedPipeline::step`] renders.
     pub fn next_frame_index(&self) -> usize {
-        self.frame / self.frame_repeat
+        self.steps_taken() / self.frame_repeat
     }
 
-    /// The number of [`TunedPipeline::step`] calls taken so far. Pipeline
-    /// *step* indices (which advance every frame) and *animation* frame
-    /// indices (which advance every `frame_repeat` steps) differ on
-    /// repeated dynamic scenes; [`TunedPipeline::baseline_range`] takes
-    /// the former.
+    /// The number of [`TunedPipeline::step`] calls taken so far (one tuner
+    /// measurement each). Pipeline *step* indices (which advance every
+    /// frame) and *animation* frame indices (which advance every
+    /// `frame_repeat` steps) differ on repeated dynamic scenes;
+    /// [`TunedPipeline::baseline_range`] takes the former.
     pub fn steps_taken(&self) -> usize {
-        self.frame
+        self.workflow.tuner().iterations()
     }
 
-    /// Runs `n` frames.
-    pub fn run(&mut self, n: usize) -> PipelineReport {
-        for _ in 0..n {
-            self.step();
-        }
-        PipelineReport {
-            frames: self.reports.clone(),
-        }
+    /// Runs up to `max_steps` frames through the workflow's budget loop
+    /// ([`TuningWorkflow::run_budget`]), stopping early once the tuner
+    /// converges. Returns the frames run by *this* call — long-running
+    /// callers invoke it repeatedly on the same pipeline — and why the run
+    /// stopped.
+    pub fn run_budget(&mut self, max_steps: usize) -> (usize, StopReason) {
+        let TunedPipeline {
+            scene,
+            workflow,
+            camera,
+            light,
+            frame_repeat,
+        } = self;
+        workflow.run_budget(max_steps, |wf| {
+            let mesh = scene.frame(wf.tuner().iterations() / *frame_repeat);
+            wf.run_frame(mesh, camera, *light);
+        })
     }
 
-    /// Runs up to `max_steps` frames, stopping early once the tuner
-    /// converges. Returns only the frames of *this* call (a resumable
-    /// slice — long-running callers invoke this repeatedly on the same
-    /// pipeline) and why the run stopped, and emits a `pipeline.run`
-    /// telemetry event carrying the reason.
-    pub fn run_budget(&mut self, max_steps: usize) -> (Vec<FrameReport>, StopReason) {
-        let start = self.reports.len();
-        let mut reason = StopReason::FrameBudget;
-        for _ in 0..max_steps {
-            self.step();
-            if self.workflow.tuner().converged() {
-                reason = StopReason::Converged;
-                break;
-            }
-        }
-        telemetry::event(
-            "pipeline.run",
-            &[
-                ("reason", reason.as_str().into()),
-                ("steps", (self.reports.len() - start).into()),
-                ("total_steps", self.frame.into()),
-                ("converged", self.workflow.tuner().converged().into()),
-            ],
-        );
-        (self.reports[start..].to_vec(), reason)
-    }
-
-    /// Runs frames until the tuner converges (or `max_frames` elapse);
-    /// returns the full report and whether the tuner is converged. See
-    /// [`TunedPipeline::run_budget`] for the stop *reason* (the boolean
-    /// also covers a tuner that converged on an earlier call).
-    pub fn run_until_converged(&mut self, max_frames: usize) -> (PipelineReport, bool) {
-        let _ = self.run_budget(max_frames);
-        (
-            PipelineReport {
-                frames: self.reports.clone(),
-            },
-            self.workflow.tuner().converged(),
-        )
-    }
-
-    /// Measures the *untuned* baseline: the same frame loop pinned to
-    /// `C_base`, for `n` steps starting at the animation origin. Returns
-    /// per-frame total seconds.
-    pub fn baseline(&self, n: usize) -> Vec<f64> {
-        self.baseline_range(0, n)
+    /// Runs frames until the tuner converges (or `max_frames` elapse) and
+    /// returns whether it is converged. See [`TunedPipeline::run_budget`]
+    /// for the stop *reason* (the boolean also covers a tuner that
+    /// converged on an earlier call).
+    pub fn run_until_converged(&mut self, max_frames: usize) -> bool {
+        self.run_budget(max_frames);
+        self.workflow.tuner().converged()
     }
 
     /// The animation frames pipeline steps `start .. start + n` render —
@@ -280,7 +186,8 @@ impl TunedPipeline {
     /// same animation-frame sequence the tuned steps at those positions
     /// render (pass [`TunedPipeline::steps_taken`] as `start` to mirror a
     /// tuned window on a repeated dynamic scene — not the animation frame
-    /// index, which would divide by `frame_repeat` twice).
+    /// index, which would divide by `frame_repeat` twice). The frames run
+    /// pinned to `C_base`; returns per-frame total seconds.
     pub fn baseline_range(&self, start: usize, n: usize) -> Vec<f64> {
         let params = base_build_params();
         let options = self.workflow.render_options();
@@ -313,26 +220,10 @@ mod tests {
     }
 
     #[test]
-    fn steps_accumulate_reports() {
-        let mut p = pipeline();
-        let report = p.run(6);
-        assert_eq!(report.frames.len(), 6);
-        assert!(report.median_recent_total(4) > 0.0);
-    }
-
-    #[test]
-    fn baseline_runs_fixed_config() {
-        let p = pipeline();
-        let costs = p.baseline(3);
-        assert_eq!(costs.len(), 3);
-        assert!(costs.iter().all(|&c| c > 0.0));
-    }
-
-    #[test]
     fn convergence_loop_caps_at_max_frames() {
         let mut p = pipeline();
-        let (report, _converged) = p.run_until_converged(5);
-        assert!(report.frames.len() <= 5);
+        p.run_until_converged(5);
+        assert!(p.steps_taken() <= 5);
     }
 
     #[test]
@@ -355,13 +246,12 @@ mod tests {
     fn run_budget_reports_only_new_frames_and_reason() {
         let mut p = pipeline();
         let (frames, reason) = p.run_budget(3);
-        assert_eq!(frames.len(), 3);
+        assert_eq!(frames, 3);
         assert_eq!(reason, StopReason::FrameBudget);
         assert_eq!(reason.as_str(), "frame_budget");
-        assert!(!reason.is_converged());
-        // A second budget returns its own frames, not the accumulated run.
+        // A second budget counts its own frames, not the accumulated run.
         let (frames, _) = p.run_budget(2);
-        assert_eq!(frames.len(), 2);
+        assert_eq!(frames, 2);
         assert_eq!(p.steps_taken(), 5);
     }
 
@@ -370,16 +260,14 @@ mod tests {
         let mut p = pipeline();
         let (frames, reason) = p.run_budget(400);
         assert_eq!(reason, StopReason::Converged);
-        assert!(reason.is_converged());
-        assert!(frames.len() < 400, "converged early: {}", frames.len());
+        assert!(frames < 400, "converged early: {frames}");
         assert!(p.workflow().tuner().converged());
         // A zero-budget call on a converged pipeline reports FrameBudget
         // (nothing ran) while run_until_converged still answers true.
         let (frames, reason) = p.run_budget(0);
-        assert!(frames.is_empty());
+        assert_eq!(frames, 0);
         assert_eq!(reason, StopReason::FrameBudget);
-        let (_, converged) = p.run_until_converged(0);
-        assert!(converged);
+        assert!(p.run_until_converged(0));
     }
 
     #[test]
@@ -420,7 +308,7 @@ mod tests {
                 .resolution(128, 128)
                 .tune_packets()
                 .tuner_seed(seed);
-            let (_, converged) = p.run_until_converged(150);
+            let converged = p.run_until_converged(150);
             let (best, _) = p.workflow().tuner().best().expect("measured configs");
             // (CI, CB, S, W, MA): W is the fourth axis.
             converged && best.values()[3] > 1

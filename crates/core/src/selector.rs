@@ -78,7 +78,7 @@ pub fn select_algorithm(scene: &Scene, opts: &SelectorOpts) -> SelectionReport {
             let mut pipeline = TunedPipeline::new(scene.clone(), algorithm)
                 .resolution(opts.resolution, opts.resolution)
                 .tuner_seed(opts.seed);
-            let (_, converged) = pipeline.run_until_converged(opts.budget_per_algorithm);
+            let converged = pipeline.run_until_converged(opts.budget_per_algorithm);
             let mut steady = Vec::with_capacity(opts.steady_window);
             for _ in 0..opts.steady_window.max(1) {
                 steady.push(pipeline.step().total_secs);

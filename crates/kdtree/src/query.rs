@@ -117,7 +117,7 @@ impl RayQuery for LazyKdTree {
     }
 }
 
-/// The result of [`crate::build`]: eager algorithms yield a [`KdTree`],
+/// The result of [`crate::build()`]: eager algorithms yield a [`KdTree`],
 /// the lazy algorithm a [`LazyKdTree`].
 #[derive(Debug)]
 pub enum BuiltTree {

@@ -2,7 +2,10 @@
 //!
 //! The ray casting renderer and the per-frame tuning workflow of the
 //! paper's Figure 4: *register parameters → (start measurement → build
-//! kD-tree → render → stop measurement → advance frame)\**.
+//! kD-tree → render → stop measurement → advance frame)\**. The workflow
+//! module is also the one home of the tuned search space and the tuner's
+//! measure step and budget loop, which the render service's point-query
+//! sessions reuse with a different measured cost.
 //!
 //! Ray casting (Appel 1968) is deliberately simple — one primary ray per
 //! pixel, one shadow ray per hit — so that measured frame time is
@@ -37,5 +40,6 @@ pub use framebuffer::Framebuffer;
 pub use render::{render, render_with, render_with_options, RenderOptions, RenderStats};
 pub use shade::shade;
 pub use workflow::{
-    run_frame_with, run_frame_with_options, FrameReport, TunedHandles, TuningWorkflow,
+    build_params, register_space, run_frame_with, run_frame_with_options, FrameReport, StopReason,
+    TunedHandles, TuningWorkflow,
 };

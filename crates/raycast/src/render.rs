@@ -74,7 +74,7 @@ impl RenderOptions {
     }
 
     /// True when `width` is a packet width the renderer can dispatch
-    /// (see [`PACKET_WIDTHS`]; `0` is accepted as an alias for scalar).
+    /// (see `PACKET_WIDTHS`; `0` is accepted as an alias for scalar).
     pub fn valid_packet_width(width: u32) -> bool {
         width == 0 || PACKET_WIDTHS.contains(&width)
     }

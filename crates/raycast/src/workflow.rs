@@ -1,4 +1,5 @@
-//! The per-frame tuning workflow (paper Fig. 4).
+//! The per-frame tuning workflow (paper Fig. 4) and the one tuner loop
+//! every tuned workload shares.
 //!
 //! Each frame: start the tuner's measurement, build the kD-tree with the
 //! tuner's current configuration, render, stop the measurement (cost =
@@ -6,10 +7,16 @@
 //! loop on a constant mesh — camera positioning, system load and other
 //! environment effects still shift the optimum, which is why the paper
 //! tunes online even for static geometry.
+//!
+//! The pieces are workload-neutral: [`register_space`] registers the
+//! search space, [`build_params`] maps its values back, and
+//! [`TuningWorkflow::measure`] / [`TuningWorkflow::run_budget`] are the
+//! one measurement cycle and the one budget loop. A render frame
+//! ([`TuningWorkflow::run_frame`]) is one measured cost; a point-query
+//! batch in the render service is another.
 
 use crate::camera::Camera;
 use crate::render::{render_with_options, RenderOptions, RenderStats};
-use crate::Framebuffer;
 use kdtune_autotune::{Config, ParamHandle, Tuner, TunerPhase};
 use kdtune_geometry::{TriangleMesh, Vec3};
 use kdtune_kdtree::{build, Algorithm, BuildParams, PacketCounters, TreeStats};
@@ -17,13 +24,35 @@ use kdtune_telemetry as telemetry;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Why a budgeted run stopped — distinct outcomes matter to long-running
+/// callers (the render service only persists a tuned configuration to its
+/// store when the tuner actually converged, never when the step budget
+/// simply ran out).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StopReason {
+    /// The tuner's search round converged within the budget.
+    Converged,
+    /// The step budget elapsed first.
+    FrameBudget,
+}
+
+impl StopReason {
+    /// Stable lowercase name, used in telemetry events and wire responses.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            StopReason::Converged => "converged",
+            StopReason::FrameBudget => "frame_budget",
+        }
+    }
+}
+
 /// Handles of the registered tuning parameters.
 ///
 /// `r` is only present for the lazy algorithm (paper Table Ib); the other
 /// three algorithms tune `(CI, CB, S)` (Table Ia). `packet_width` and
-/// `min_active` are only present when the workflow was built with
-///// [`TuningWorkflow::tune_packets`] — they extend the paper's build-side
-/// search space with two render-side axes.
+/// `min_active` are only present when the space was registered with
+/// packets — they extend the paper's build-side search space with two
+/// render-side axes.
 #[derive(Clone, Copy, Debug)]
 pub struct TunedHandles {
     /// Triangle intersection cost `CI`.
@@ -38,6 +67,34 @@ pub struct TunedHandles {
     pub packet_width: Option<ParamHandle>,
     /// Packet divergence threshold `MA` (only with tuned packets).
     pub min_active: Option<ParamHandle>,
+}
+
+/// Registers the paper's Table II search space on `tuner`: `CI ∈ [3, 101]`,
+/// `CB ∈ [0, 60]`, `S ∈ [1, 8]`, and for the lazy algorithm `R ∈ [16, 8192]`
+/// (powers of two). With `packets`, the render-side axes follow: the
+/// packet width `W ∈ {1, 4, 8}` and the divergence threshold `MA ∈ [1, 8]`
+/// (opt-in; the paper's spaces are 3- and 4-dimensional). Configuration
+/// values come in this registration order.
+pub fn register_space(tuner: &mut Tuner, algorithm: Algorithm, packets: bool) -> TunedHandles {
+    TunedHandles {
+        ci: tuner.register_parameter("CI", 3, 101, 1),
+        cb: tuner.register_parameter("CB", 0, 60, 1),
+        s: tuner.register_parameter("S", 1, 8, 1),
+        r: (algorithm == Algorithm::Lazy).then(|| tuner.register_parameter_pow2("R", 16, 8192)),
+        packet_width: packets.then(|| tuner.register_parameter_choices("W", &[1, 4, 8])),
+        min_active: packets.then(|| tuner.register_parameter("MA", 1, 8, 1)),
+    }
+}
+
+/// Build parameters for a configuration of the [`register_space`] space
+/// (values in registration order; `R` is read for the lazy algorithm only,
+/// the others build with the default).
+pub fn build_params(algorithm: Algorithm, values: &[i64]) -> BuildParams {
+    let r = match algorithm {
+        Algorithm::Lazy => values[3] as u32,
+        _ => BuildParams::default().r,
+    };
+    BuildParams::from_config(values[0] as f32, values[1] as f32, values[2] as u32, r)
 }
 
 /// Everything measured for one frame.
@@ -64,103 +121,38 @@ pub struct FrameReport {
     pub phase: TunerPhase,
 }
 
-/// Drives one algorithm's tuned ray-casting loop.
+/// One algorithm's tuner with its registered space.
 pub struct TuningWorkflow {
     algorithm: Algorithm,
     tuner: Tuner,
     handles: TunedHandles,
-    keep_images: bool,
-    last_image: Option<Framebuffer>,
     render_options: RenderOptions,
 }
 
 impl TuningWorkflow {
-    /// Creates the workflow and registers the paper's Table II parameters
-    /// on a tuner with the given RNG seed.
-    pub fn new(algorithm: Algorithm, tuner_seed: u64) -> TuningWorkflow {
-        let mut tuner = Tuner::builder().seed(tuner_seed).build();
-        let ci = tuner.register_parameter("CI", 3, 101, 1);
-        let cb = tuner.register_parameter("CB", 0, 60, 1);
-        let s = tuner.register_parameter("S", 1, 8, 1);
-        let r =
-            (algorithm == Algorithm::Lazy).then(|| tuner.register_parameter_pow2("R", 16, 8192));
-        TuningWorkflow {
-            algorithm,
-            tuner,
-            handles: TunedHandles {
-                ci,
-                cb,
-                s,
-                r,
-                packet_width: None,
-                min_active: None,
-            },
-            keep_images: false,
-            last_image: None,
-            render_options: RenderOptions::default(),
-        }
-    }
-
-    /// Supplies a pre-configured tuner (custom seeds/tolerances). The
-    /// tuner must have no parameters registered yet.
-    pub fn with_tuner(algorithm: Algorithm, mut tuner: Tuner) -> TuningWorkflow {
+    /// Wraps `tuner` (seed, warm start and tolerances already set; no
+    /// parameters registered yet) and registers the search space on it,
+    /// with the packet axes when `packets` is set (see [`register_space`]).
+    pub fn new(algorithm: Algorithm, mut tuner: Tuner, packets: bool) -> TuningWorkflow {
         assert_eq!(
             tuner.space().dim(),
             0,
             "pass a tuner without registered parameters"
         );
-        let ci = tuner.register_parameter("CI", 3, 101, 1);
-        let cb = tuner.register_parameter("CB", 0, 60, 1);
-        let s = tuner.register_parameter("S", 1, 8, 1);
-        let r =
-            (algorithm == Algorithm::Lazy).then(|| tuner.register_parameter_pow2("R", 16, 8192));
         TuningWorkflow {
             algorithm,
+            handles: register_space(&mut tuner, algorithm, packets),
             tuner,
-            handles: TunedHandles {
-                ci,
-                cb,
-                s,
-                r,
-                packet_width: None,
-                min_active: None,
-            },
-            keep_images: false,
-            last_image: None,
             render_options: RenderOptions::default(),
         }
-    }
-
-    /// Keep the most recent framebuffer available via
-    /// [`TuningWorkflow::last_image`].
-    pub fn keep_images(mut self, keep: bool) -> TuningWorkflow {
-        self.keep_images = keep;
-        self
-    }
-
-    /// Adds the render-side packet axes to the search space: the packet
-    /// width `W ∈ {1, 4, 8}` and the divergence threshold
-    /// `MA ∈ [1, 8]`. The tuner then picks how frames are traced along
-    /// with how trees are built — every width renders bit-identical
-    /// images, so the axes move only the frame-time cost surface.
-    ///
-    /// Opt-in (the paper's spaces are 3- and 4-dimensional); must be
-    /// called before the first frame, like every registration.
-    pub fn tune_packets(mut self) -> TuningWorkflow {
-        let w = self.tuner.register_parameter_choices("W", &[1, 4, 8]);
-        let ma = self.tuner.register_parameter("MA", 1, 8, 1);
-        self.handles.packet_width = Some(w);
-        self.handles.min_active = Some(ma);
-        self
     }
 
     /// Selects how frames are traced (scalar per-ray queries or coherent
     /// `W`-wide ray packets — the images and [`RenderStats`] are
     /// bit-identical either way, only the frame time and the `packet`
-    /// counters change). When the packet axes are tuned
-    /// ([`TuningWorkflow::tune_packets`]), the tuner's per-frame width
-    /// and threshold override the values given here; the frustum toggle
-    /// still applies.
+    /// counters change). When the packet axes are tuned, the tuner's
+    /// per-frame width and threshold override the values given here; the
+    /// frustum toggle still applies.
     pub fn with_render_options(mut self, options: RenderOptions) -> TuningWorkflow {
         self.render_options = options;
         self
@@ -186,16 +178,49 @@ impl TuningWorkflow {
         self.handles
     }
 
-    /// Extracts [`BuildParams`] from the tuner's active configuration.
-    fn current_params(&self) -> BuildParams {
-        let ci = self.tuner.get(self.handles.ci) as f32;
-        let cb = self.tuner.get(self.handles.cb) as f32;
-        let s = self.tuner.get(self.handles.s) as u32;
-        let r = self
-            .handles
-            .r
-            .map_or(BuildParams::default().r, |h| self.tuner.get(h) as u32);
-        BuildParams::from_config(ci, cb, s, r)
+    /// One measurement cycle: starts the tuner's cycle, hands `measure`
+    /// the tuner (candidate, phase, iteration) and the candidate's build
+    /// parameters, and stops the cycle with the cost in seconds that
+    /// `measure` returns next to its output.
+    pub fn measure<T>(&mut self, measure: impl FnOnce(&Tuner, BuildParams) -> (f64, T)) -> T {
+        self.tuner.start_cycle();
+        let values = self.tuner.current().expect("cycle started").values();
+        let (cost, output) = measure(&self.tuner, build_params(self.algorithm, values));
+        self.tuner.stop_with(cost);
+        output
+    }
+
+    /// The budget loop: runs `step` (one [`TuningWorkflow::measure`]
+    /// cycle) up to `max_steps` times, stopping early once the tuner
+    /// converges. It measures before it checks, so a converged tuner still
+    /// takes one monitoring step per call — the measurements drift
+    /// detection re-tunes on. Returns the steps run and why the loop
+    /// stopped, and emits a `pipeline.run` telemetry event.
+    pub fn run_budget(
+        &mut self,
+        max_steps: usize,
+        mut step: impl FnMut(&mut TuningWorkflow),
+    ) -> (usize, StopReason) {
+        let mut steps = 0;
+        let mut reason = StopReason::FrameBudget;
+        while steps < max_steps {
+            step(self);
+            steps += 1;
+            if self.tuner.converged() {
+                reason = StopReason::Converged;
+                break;
+            }
+        }
+        telemetry::event(
+            "pipeline.run",
+            &[
+                ("reason", reason.as_str().into()),
+                ("steps", steps.into()),
+                ("total_steps", self.tuner.iterations().into()),
+                ("converged", self.tuner.converged().into()),
+            ],
+        );
+        (steps, reason)
     }
 
     /// Runs one frame of the Fig. 4 loop: tune → build → render → report.
@@ -205,95 +230,85 @@ impl TuningWorkflow {
         camera: &Camera,
         light: Vec3,
     ) -> FrameReport {
-        self.tuner.start_cycle();
-        let params = self.current_params();
-        let config = self.tuner.current().expect("cycle started").clone();
-        let phase = self.tuner.phase();
-        let mut options = self.render_options;
-        if let Some(h) = self.handles.packet_width {
-            options.packet_width = self.tuner.get(h) as u32;
-        }
-        if let Some(h) = self.handles.min_active {
-            options.packet_min_active = self.tuner.get(h) as u32;
-        }
-
-        let t0 = Instant::now();
-        let tree = build(mesh, self.algorithm, &params);
-        let build_secs = t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let (image, stats, packet) =
-            render_with_options(&tree, tree.mesh(), camera, light, &options);
-        let render_secs = t1.elapsed().as_secs_f64();
-
-        let total_secs = build_secs + render_secs;
-        let frame = self.tuner.iterations();
-        self.tuner.stop_with(total_secs);
-        if telemetry::enabled() {
-            // Traversal throughput: every ray the frame cast, over the
-            // render wall time (guarded against a zero-duration clock).
-            let rays = stats.primary_rays + stats.shadow_rays;
-            let rays_per_sec = if render_secs > 0.0 {
-                rays as f64 / render_secs
-            } else {
-                0.0
-            };
-            let mut fields = vec![
-                ("frame", frame.into()),
-                ("algorithm", self.algorithm.name().into()),
-                ("phase", phase.as_str().into()),
-                ("config", config.to_string().into()),
-                ("build_secs", build_secs.into()),
-                ("render_secs", render_secs.into()),
-                ("total_secs", total_secs.into()),
-                ("primary_rays", stats.primary_rays.into()),
-                ("primary_hits", stats.primary_hits.into()),
-                ("shadow_rays", stats.shadow_rays.into()),
-                ("occluded", stats.occluded.into()),
-                ("rays_per_sec", rays_per_sec.into()),
-                ("packets", options.uses_packets().into()),
-                (
-                    "packet_width",
-                    u64::from(options.packet_width.max(1)).into(),
-                ),
-                ("packet_lanes_utilized", packet.lane_utilization().into()),
-                ("packet_frustum_rate", packet.frustum_rate().into()),
-                ("packet_fallback_lanes", packet.scalar_fallback_lanes.into()),
-                ("nodes", tree.node_count().into()),
-                ("node_bytes", tree.node_bytes().into()),
-            ];
-            // Tree-quality metrics require a full traversal, so they are
-            // computed only while a recorder is listening (and only for
-            // eager trees — a lazy tree would be forced by the walk).
-            if let Some(eager) = tree.as_eager() {
-                let ts = TreeStats::compute(eager);
-                fields.push(("leaves", ts.leaf_count.into()));
-                fields.push(("tree_depth", ts.max_depth.into()));
-                fields.push(("duplication", ts.duplication_factor.into()));
-                fields.push(("sah_cost", ts.sah_cost.into()));
+        let (algorithm, handles, mut options) = (self.algorithm, self.handles, self.render_options);
+        self.measure(|tuner, params| {
+            let config = tuner.current().expect("cycle started").clone();
+            let phase = tuner.phase();
+            if let Some(h) = handles.packet_width {
+                options.packet_width = tuner.get(h) as u32;
             }
-            telemetry::event_owned("workflow.frame", fields);
-        }
-        if self.keep_images {
-            self.last_image = Some(image);
-        }
-        FrameReport {
-            config,
-            params,
-            build_secs,
-            render_secs,
-            total_secs,
-            stats,
-            packet,
-            options,
-            phase,
-        }
-    }
+            if let Some(h) = handles.min_active {
+                options.packet_min_active = tuner.get(h) as u32;
+            }
 
-    /// The framebuffer of the last frame, when [`TuningWorkflow::keep_images`]
-    /// is enabled.
-    pub fn last_image(&self) -> Option<&Framebuffer> {
-        self.last_image.as_ref()
+            let t0 = Instant::now();
+            let tree = build(mesh, algorithm, &params);
+            let build_secs = t0.elapsed().as_secs_f64();
+
+            let t1 = Instant::now();
+            let (_, stats, packet) =
+                render_with_options(&tree, tree.mesh(), camera, light, &options);
+            let render_secs = t1.elapsed().as_secs_f64();
+
+            let total_secs = build_secs + render_secs;
+            if telemetry::enabled() {
+                // Traversal throughput: every ray the frame cast, over the
+                // render wall time (guarded against a zero-duration clock).
+                let rays = stats.primary_rays + stats.shadow_rays;
+                let rays_per_sec = if render_secs > 0.0 {
+                    rays as f64 / render_secs
+                } else {
+                    0.0
+                };
+                let mut fields = vec![
+                    ("frame", tuner.iterations().into()),
+                    ("algorithm", algorithm.name().into()),
+                    ("phase", phase.as_str().into()),
+                    ("config", config.to_string().into()),
+                    ("build_secs", build_secs.into()),
+                    ("render_secs", render_secs.into()),
+                    ("total_secs", total_secs.into()),
+                    ("primary_rays", stats.primary_rays.into()),
+                    ("primary_hits", stats.primary_hits.into()),
+                    ("shadow_rays", stats.shadow_rays.into()),
+                    ("occluded", stats.occluded.into()),
+                    ("rays_per_sec", rays_per_sec.into()),
+                    ("packets", options.uses_packets().into()),
+                    (
+                        "packet_width",
+                        u64::from(options.packet_width.max(1)).into(),
+                    ),
+                    ("packet_lanes_utilized", packet.lane_utilization().into()),
+                    ("packet_frustum_rate", packet.frustum_rate().into()),
+                    ("packet_fallback_lanes", packet.scalar_fallback_lanes.into()),
+                    ("nodes", tree.node_count().into()),
+                    ("node_bytes", tree.node_bytes().into()),
+                ];
+                // Tree-quality metrics require a full traversal, so they are
+                // computed only while a recorder is listening (and only for
+                // eager trees — a lazy tree would be forced by the walk).
+                if let Some(eager) = tree.as_eager() {
+                    let ts = TreeStats::compute(eager);
+                    fields.push(("leaves", ts.leaf_count.into()));
+                    fields.push(("tree_depth", ts.max_depth.into()));
+                    fields.push(("duplication", ts.duplication_factor.into()));
+                    fields.push(("sah_cost", ts.sah_cost.into()));
+                }
+                telemetry::event_owned("workflow.frame", fields);
+            }
+            let report = FrameReport {
+                config,
+                params,
+                build_secs,
+                render_secs,
+                total_secs,
+                stats,
+                packet,
+                options,
+                phase,
+            };
+            (total_secs, report)
+        })
     }
 }
 
@@ -348,11 +363,15 @@ mod tests {
         )
     }
 
+    fn workflow(algorithm: Algorithm, seed: u64, packets: bool) -> TuningWorkflow {
+        TuningWorkflow::new(algorithm, Tuner::builder().seed(seed).build(), packets)
+    }
+
     #[test]
     fn workflow_runs_and_records() {
         let scene = wood_doll(&SceneParams::tiny());
         let (camera, light) = camera_for(&scene, 24);
-        let mut wf = TuningWorkflow::new(Algorithm::InPlace, 1);
+        let mut wf = workflow(Algorithm::InPlace, 1, false);
         for f in 0..10 {
             let report = wf.run_frame(scene.frame(f), &camera, light);
             assert!(report.total_secs >= report.build_secs);
@@ -367,19 +386,31 @@ mod tests {
     fn lazy_workflow_tunes_four_parameters() {
         let scene = toasters(&SceneParams::tiny());
         let (camera, light) = camera_for(&scene, 16);
-        let mut wf = TuningWorkflow::new(Algorithm::Lazy, 2);
+        let mut wf = workflow(Algorithm::Lazy, 2, false);
         let report = wf.run_frame(scene.frame(0), &camera, light);
         assert_eq!(report.config.values().len(), 4);
         assert!(wf.handles().r.is_some());
         let r = report.config.values()[3];
         assert!(r.count_ones() == 1 && (16..=8192).contains(&r));
+        assert_eq!(report.params.r, r as u32);
+    }
+
+    #[test]
+    fn build_params_honors_the_lazy_r_dimension() {
+        let eager = build_params(Algorithm::InPlace, &[21, 11, 4]);
+        assert_eq!((eager.s, eager.r), (4, 4096));
+        assert_eq!((eager.sah.ci, eager.sah.cb), (21.0, 11.0));
+        let lazy = build_params(Algorithm::Lazy, &[21, 11, 4, 256]);
+        assert_eq!((lazy.s, lazy.r), (4, 256));
+        // With packets, the fourth value of an eager space is `W`, not `R`.
+        assert_eq!(build_params(Algorithm::InPlace, &[21, 11, 4, 8, 2]).r, 4096);
     }
 
     #[test]
     fn tuned_packet_axes_extend_the_space() {
         let scene = wood_doll(&SceneParams::tiny());
         let (camera, light) = camera_for(&scene, 16);
-        let mut wf = TuningWorkflow::new(Algorithm::InPlace, 5).tune_packets();
+        let mut wf = workflow(Algorithm::InPlace, 5, true);
         assert!(wf.handles().packet_width.is_some());
         assert!(wf.handles().min_active.is_some());
         let mut widths = std::collections::HashSet::new();
@@ -402,7 +433,7 @@ mod tests {
     fn configs_vary_during_seeding() {
         let scene = wood_doll(&SceneParams::tiny());
         let (camera, light) = camera_for(&scene, 16);
-        let mut wf = TuningWorkflow::new(Algorithm::NodeLevel, 3);
+        let mut wf = workflow(Algorithm::NodeLevel, 3, false);
         let mut configs = std::collections::HashSet::new();
         for f in 0..8 {
             let r = wf.run_frame(scene.frame(f), &camera, light);
@@ -412,13 +443,27 @@ mod tests {
     }
 
     #[test]
-    fn keep_images_retains_last_frame() {
-        let scene = wood_doll(&SceneParams::tiny());
-        let (camera, light) = camera_for(&scene, 16);
-        let mut wf = TuningWorkflow::new(Algorithm::InPlace, 4).keep_images(true);
-        assert!(wf.last_image().is_none());
-        let _ = wf.run_frame(scene.frame(0), &camera, light);
-        let img = wf.last_image().expect("image kept");
-        assert_eq!(img.width(), 16);
+    fn budget_loop_measures_before_it_checks() {
+        let mut wf = workflow(Algorithm::InPlace, 1, false);
+        // A smooth cost surface with its minimum inside the space.
+        let cost = |_: &Tuner, p: BuildParams| {
+            let d = (p.sah.ci - 40.0).abs() + (p.sah.cb - 20.0).abs() + p.s as f32;
+            (f64::from(d), ())
+        };
+        assert_eq!(
+            wf.run_budget(3, |wf| wf.measure(cost)),
+            (3, StopReason::FrameBudget)
+        );
+        let (steps, reason) = wf.run_budget(400, |wf| wf.measure(cost));
+        assert_eq!(reason, StopReason::Converged);
+        assert!(steps < 400 && wf.tuner().converged());
+        // A converged tuner still takes one monitoring measurement.
+        let before = wf.tuner().iterations();
+        assert_eq!(
+            wf.run_budget(5, |wf| wf.measure(cost)),
+            (1, StopReason::Converged)
+        );
+        assert_eq!(wf.tuner().iterations(), before + 1);
+        assert_eq!(wf.run_budget(0, |wf| wf.measure(cost)).0, 0);
     }
 }

@@ -11,9 +11,10 @@
 //! * speaks a newline-delimited JSON protocol ([`protocol`]) with explicit
 //!   backpressure — a bounded queue rejects overload with a structured
 //!   `busy` error instead of queuing unboundedly,
-//! * owns one [`kdtune::TunedPipeline`] per (scene, scale, algorithm,
-//!   resolution) session ([`session`]) so the Nelder–Mead tuner keeps
-//!   improving across requests,
+//! * owns one tuned [`Session`] per render stream (scene, scale,
+//!   algorithm, resolution) or point-query stream ([`session`]) so the
+//!   Nelder–Mead tuner keeps improving across requests; only the measured
+//!   cost — a rendered frame or a query batch — differs by workload,
 //! * shares built trees between sessions through a byte-accounted LRU
 //!   cache ([`cache`]),
 //! * persists converged configurations to a JSONL store keyed by scene,
@@ -55,5 +56,5 @@ pub use loadgen::{LoadgenOptions, LoadgenReport};
 pub use protocol::{Command, ErrorCode, QueryShape, Request, SessionSpec, Workload};
 pub use router::{Router, RouterConfig, ShardMode};
 pub use server::{RenderServer, ServerConfig};
-pub use session::{QuerySession, Session, SessionManager};
+pub use session::{Objective, Session, SessionManager};
 pub use store::ConfigStore;

@@ -80,6 +80,19 @@ impl Workload {
     }
 }
 
+/// A configuration's values as a JSON array (`null` when there is none)
+/// — the one encoding of `config` / `best_config` in replies and `stats`.
+pub(crate) fn config_json(values: Option<&[i64]>) -> JsonValue {
+    values.map_or(JsonValue::Null, |values| {
+        values
+            .iter()
+            .copied()
+            .map(JsonValue::from)
+            .collect::<Vec<_>>()
+            .into()
+    })
+}
+
 /// Everything that identifies a tuning session. Two requests with equal
 /// specs share one pipeline, one tuner, and one telemetry stream.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]

@@ -4,7 +4,7 @@
 //! Topology: clients speak the ordinary newline-delimited JSON protocol
 //! to the router; the router classifies each request, hashes its session
 //! key ([`crate::protocol::SessionSpec::id`] — scene@scale/algo/res/wN)
-//! onto the [`crate::shard::HashRing`], and forwards the request to the
+//! onto the shard `HashRing`, and forwards the request to the
 //! owning shard over a persistent upstream connection — rewriting the
 //! request id so concurrent clients multiplex safely over one upstream
 //! pipe, and mapping it back on the response. Because the hash key *is*
@@ -15,7 +15,7 @@
 //! partitioning key.
 //!
 //! Threading model: ONE event-loop thread (the same `poll(2)`-driven
-//! design as [`crate::server`], reusing [`crate::conn`] wholesale) owns
+//! design as [`crate::server`], reusing the `conn` module wholesale) owns
 //! every socket — downstream clients and upstream shards alike. There is
 //! no worker pool: the router never renders, it only routes bytes, so a
 //! single loop comfortably saturates the shards.

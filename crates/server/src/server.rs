@@ -12,7 +12,7 @@
 //! unboundedly.
 //!
 //! Responses flow back through per-connection write queues
-//! ([`crate::conn::ConnHandle`]): workers enqueue and wake the loop, the
+//! (`conn::ConnHandle`): workers enqueue and wake the loop, the
 //! loop flushes when `poll` reports the socket writable. Write errors
 //! surface in the loop's flush, mark the connection dead (workers skip
 //! its remaining queued jobs), and count `renderd_write_errors_total`;
@@ -23,8 +23,8 @@
 
 use crate::cache::TreeCache;
 use crate::conn::{self, drain_waker, Conn, ConnHandle, Flush, Waker};
-use crate::protocol::{self, Command, ErrorCode, Request, SessionSpec};
-use crate::session::SessionManager;
+use crate::protocol::{self, config_json, Command, ErrorCode, Request, SessionSpec};
+use crate::session::{build_eager, run_query_batch, Objective, SessionManager};
 use crate::store::ConfigStore;
 use kdtune::raycast::render_with_options;
 use kdtune::{build, Algorithm, BuildParams, BuiltTree, Camera, RenderOptions};
@@ -982,14 +982,13 @@ fn handle_render(
     // or rendering: render work must not serialize behind one session.
     let (params, tuned, values, scene) = {
         let mut session = session.lock();
-        session.renders += 1;
+        session.served += 1;
+        let Objective::Render(pipeline) = session.objective() else {
+            return Err((ErrorCode::Internal, "render on a query session".into()));
+        };
+        let scene = pipeline.scene().clone();
         let (params, tuned) = session.current_params();
-        (
-            params,
-            tuned,
-            session.best_values(),
-            session.scene().clone(),
-        )
+        (params, tuned, session.best_values(), scene)
     };
     let frame = frame % scene.frame_count().max(1);
     let mesh = scene.frame(frame);
@@ -1083,18 +1082,7 @@ fn render_result(
         ("res", spec.res.into()),
         ("cache", cache.into()),
         ("tuned", tuned.into()),
-        (
-            "config",
-            match values {
-                Some(values) => values
-                    .iter()
-                    .copied()
-                    .map(JsonValue::from)
-                    .collect::<Vec<_>>()
-                    .into(),
-                None => JsonValue::Null,
-            },
-        ),
+        ("config", config_json(values.as_deref())),
         ("build_ms", (build_secs * 1e3).into()),
         ("render_ms", (render_secs * 1e3).into()),
         ("primary_rays", stats.primary_rays.into()),
@@ -1110,39 +1098,38 @@ fn handle_query(
     seed: u64,
     trace: &mut TraceContext,
 ) -> Result<JsonValue, (ErrorCode, String)> {
-    let session = state.sessions.get_or_create_query(spec)?;
+    let session = state.sessions.get_or_create(spec)?;
     // Snapshot under the lock, then build and query without it: batches
     // for one session must not serialize behind each other.
     let (params, tuned, values, mesh, shape, radius) = {
         let mut session = session.lock();
-        session.queries += 1;
+        session.served += 1;
+        let Objective::Query {
+            mesh,
+            shape,
+            radius,
+            ..
+        } = session.objective()
+        else {
+            return Err((ErrorCode::Internal, "query on a render session".into()));
+        };
+        let (mesh, shape, radius) = (Arc::clone(mesh), *shape, *radius);
         let (params, tuned) = session.current_params();
-        (
-            params,
-            tuned,
-            session.best_values(),
-            Arc::clone(session.mesh()),
-            session.shape(),
-            session.radius(),
-        )
+        (params, tuned, session.best_values(), mesh, shape, radius)
     };
     // Query trees are always eager (lazy builds are force-expanded), so
     // unlike the lazy render path they are safe to cache and share.
     let build_started = Instant::now();
     let key = cache_key(spec, 0, &params);
     let (tree, hit) = state.cache.get_or_build(&key, || {
-        Arc::new(crate::session::build_eager(
-            Arc::clone(&mesh),
-            spec.algo,
-            &params,
-        ))
+        Arc::new(build_eager(Arc::clone(&mesh), spec.algo, &params))
     });
     let build_secs = build_started.elapsed().as_secs_f64();
     trace.stage("build", (build_secs * 1e6) as u64);
 
     let query_started = Instant::now();
     let points = kdtune_scenes::sample_points(&mesh, shape.sampler, shape.batch as usize, seed);
-    let stats = crate::session::run_query_batch(tree.as_ref(), &points, shape.k as usize, radius);
+    let stats = run_query_batch(tree.as_ref(), &points, shape.k as usize, radius);
     let query_secs = query_started.elapsed().as_secs_f64();
     trace.stage("query", (query_secs * 1e6) as u64);
 
@@ -1157,18 +1144,7 @@ fn handle_query(
         ("seed", seed.into()),
         ("cache", if hit { "hit" } else { "miss" }.into()),
         ("tuned", tuned.into()),
-        (
-            "config",
-            match &values {
-                Some(values) => values
-                    .iter()
-                    .copied()
-                    .map(JsonValue::from)
-                    .collect::<Vec<_>>()
-                    .into(),
-                None => JsonValue::Null,
-            },
-        ),
+        ("config", config_json(values.as_deref())),
         ("build_ms", (build_secs * 1e3).into()),
         ("query_ms", (query_secs * 1e3).into()),
         ("points", stats.points.into()),
@@ -1184,25 +1160,11 @@ fn handle_tune(
     steps: usize,
     trace: &mut TraceContext,
 ) -> Result<JsonValue, (ErrorCode, String)> {
-    // Both session kinds expose the same tune surface; the workload axis
-    // picks which map (and which cost function) the step advances.
-    let (warm_started, summary) = if matches!(spec.workload, crate::protocol::Workload::Query(_)) {
-        let session = state.sessions.get_or_create_query(spec)?;
-        let mut session = session.lock();
-        let warm_started = session.warm_started();
-        let t0 = Instant::now();
-        let summary = session.tune(steps, state.sessions.store());
-        trace.stage("tune", t0.elapsed().as_micros() as u64);
-        (warm_started, summary)
-    } else {
-        let session = state.sessions.get_or_create(spec)?;
-        let mut session = session.lock();
-        let warm_started = session.warm_started();
-        let t0 = Instant::now();
-        let summary = session.tune(steps, state.sessions.store());
-        trace.stage("tune", t0.elapsed().as_micros() as u64);
-        (warm_started, summary)
-    };
+    let session = state.sessions.get_or_create(spec)?;
+    let mut session = session.lock();
+    let t0 = Instant::now();
+    let summary = session.tune(steps, state.sessions.store());
+    trace.stage("tune", t0.elapsed().as_micros() as u64);
     Ok(JsonValue::object([
         ("session", JsonValue::from(spec.id())),
         ("workload", spec.workload.name().into()),
@@ -1211,18 +1173,9 @@ fn handle_tune(
         ("reason", summary.reason.as_str().into()),
         ("phase", summary.phase.as_str().into()),
         ("converged", summary.converged.into()),
-        ("warm_started", warm_started.into()),
+        ("warm_started", session.warm_started().into()),
         ("persisted", summary.persisted.into()),
-        (
-            "best_config",
-            summary
-                .best_values
-                .iter()
-                .copied()
-                .map(JsonValue::from)
-                .collect::<Vec<_>>()
-                .into(),
-        ),
+        ("best_config", config_json(Some(&summary.best_values))),
         ("best_cost_ms", (summary.best_cost * 1e3).into()),
     ]))
 }

@@ -1,26 +1,28 @@
-//! Sessions: one long-lived [`TunedPipeline`] per [`SessionSpec`].
+//! Sessions: one long-lived tuner per [`SessionSpec`].
 //!
-//! A session owns the tuner state that makes the service worth running:
-//! every `tune_step` request advances the same Nelder–Mead search, and a
-//! converged result is written to the [`ConfigStore`] exactly once. New
-//! sessions consult the store first and warm-start the tuner from the
-//! stored best, which is the end-to-end payoff measured by the
-//! warm-vs-cold integration test.
+//! A [`Session`] owns the tuner state that makes the service worth
+//! running: every `tune_step` request advances the same Nelder–Mead search
+//! through the shared budget loop ([`TuningWorkflow::run_budget`]), and a
+//! converged result is written to the [`ConfigStore`] exactly once, under
+//! the spec's workload. New sessions consult the store first and
+//! warm-start the tuner from the stored best, which is the end-to-end
+//! payoff measured by the warm-vs-cold tests.
 //!
-//! Two session kinds share this machinery, keyed by the spec's
-//! [`Workload`]: [`Session`] tunes build parameters on ray-traced frame
-//! time, [`QuerySession`] tunes the *same* parameter space on k-NN +
-//! radius-gather batch latency. Because the cost surfaces differ, the
-//! two converge to different trees — which is the reason the workload
-//! axis exists everywhere (session map, tree cache, config store).
+//! The spec's [`Workload`] changes only what one tuner step measures (the
+//! session's [`Objective`]): a render session times build plus a
+//! ray-traced frame through a [`TunedPipeline`], a query session times
+//! build plus a k-NN + radius-gather batch. Both tune the same parameter
+//! space; because the cost surfaces differ, the two converge to different
+//! trees — which is the reason the workload axis exists everywhere
+//! (session map, tree cache, config store).
 
-use crate::protocol::{ErrorCode, QueryShape, SessionSpec, Workload};
+use crate::protocol::{config_json, ErrorCode, QueryShape, SessionSpec, Workload};
 use crate::store::ConfigStore;
+use kdtune::raycast::build_params;
 use kdtune::{
-    base_build_params, build, Algorithm, BuildParams, BuiltTree, RenderOptions, Scene, SceneParams,
-    StopReason, TunedPipeline, Tuner, TunerPhase,
+    base_build_params, build, Algorithm, BuildParams, BuiltTree, RenderOptions, SceneParams,
+    StopReason, TunedPipeline, Tuner, TunerPhase, TuningWorkflow,
 };
-use kdtune_autotune::ParamHandle;
 use kdtune_geometry::{TriangleMesh, Vec3};
 use kdtune_kdtree::{KdTree, Neighbor};
 use kdtune_scenes::sample_points;
@@ -46,27 +48,10 @@ pub fn scale_params(scale: &str) -> Result<SceneParams, (ErrorCode, String)> {
     }
 }
 
-/// Converts tuned search-space values back into build parameters.
-/// The space is `[CI, CB, S]`, plus `R` for the lazy algorithm only.
-pub fn params_from_values(algorithm: Algorithm, values: &[i64]) -> BuildParams {
-    let get = |i: usize, default: i64| values.get(i).copied().unwrap_or(default);
-    let r = if algorithm == Algorithm::Lazy {
-        get(3, 4096)
-    } else {
-        4096
-    };
-    BuildParams::from_config(
-        get(0, 17) as f32,
-        get(1, 10) as f32,
-        get(2, 3) as u32,
-        r as u32,
-    )
-}
-
 /// What one `tune_step` request did.
 #[derive(Clone, Debug)]
 pub struct TuneSummary {
-    /// Pipeline steps actually run (may stop early on convergence).
+    /// Tuner steps actually run (may stop early on convergence).
     pub steps_run: usize,
     /// Total steps this session has run since creation.
     pub total_steps: usize,
@@ -84,15 +69,71 @@ pub struct TuneSummary {
     pub persisted: bool,
 }
 
+/// What a session's tuner steps measure — the one part of a session that
+/// differs by workload.
+pub enum Objective {
+    /// Build plus one rendered frame of the scene ([`TunedPipeline::step`]).
+    Render(TunedPipeline),
+    /// Build (eager) plus one point-query batch.
+    Query {
+        /// The mesh queries run against: the scene's first frame, since
+        /// tuning needs a fixed cost surface (the samplers are
+        /// deterministic by seed).
+        mesh: Arc<TriangleMesh>,
+        /// The batch shape.
+        shape: QueryShape,
+        /// Gather radius in world units (`radius_pm` × bbox diagonal / 1000).
+        radius: f32,
+        /// The tuner over the build parameters.
+        workflow: TuningWorkflow,
+    },
+}
+
+impl Objective {
+    fn workflow(&self) -> &TuningWorkflow {
+        match self {
+            Objective::Render(pipeline) => pipeline.workflow(),
+            Objective::Query { workflow, .. } => workflow,
+        }
+    }
+
+    /// Runs up to `steps` measured tuner steps.
+    fn run_budget(&mut self, steps: usize) -> (usize, StopReason) {
+        match self {
+            Objective::Render(pipeline) => pipeline.run_budget(steps),
+            Objective::Query {
+                mesh,
+                shape,
+                radius,
+                workflow,
+            } => {
+                let algorithm = workflow.algorithm();
+                workflow.run_budget(steps, |wf| {
+                    wf.measure(|tuner, params| {
+                        // Decorrelate batches across cycles while staying
+                        // replayable.
+                        let seed = SESSION_TUNER_SEED ^ tuner.iterations() as u64;
+                        let t0 = Instant::now();
+                        let tree = build_eager(Arc::clone(mesh), algorithm, &params);
+                        let points = sample_points(mesh, shape.sampler, shape.batch as usize, seed);
+                        run_query_batch(&tree, &points, shape.k as usize, *radius);
+                        (t0.elapsed().as_secs_f64(), ())
+                    })
+                })
+            }
+        }
+    }
+}
+
 /// One tuning session. Callers hold it behind `Arc<Mutex<_>>` via the
 /// [`SessionManager`].
 pub struct Session {
     spec: SessionSpec,
-    pipeline: TunedPipeline,
+    objective: Objective,
     warm_started: bool,
     persisted: bool,
-    /// Render requests served (monotonic, informational).
-    pub renders: u64,
+    /// Render or query requests served (monotonic, informational).
+    pub served: u64,
     /// `tune_step` calls that stopped because the tuner converged.
     stops_converged: u64,
     /// `tune_step` calls that exhausted their step budget first.
@@ -112,31 +153,53 @@ impl Session {
                 ),
             )
         })?;
-        let warm = store.lookup(&spec.scene, spec.algo);
-        // Sessions keep a fixed packet width — the spec is part of the
-        // session key, so clients pick the width per stream.
-        let options = RenderOptions::scalar().with_packet_width(spec.packet_width);
-        let mut pipeline = TunedPipeline::new(scene, spec.algo)
-            .resolution(spec.res, spec.res)
-            .render_options(options)
-            .tuner_seed(SESSION_TUNER_SEED);
-        if let Some(stored) = &warm {
-            pipeline = pipeline.warm_start(&stored.values);
-        }
+        let warm = store
+            .lookup_workload(&spec.scene, spec.algo, spec.workload.name())
+            .map(|stored| stored.values);
+        let objective = match spec.workload {
+            Workload::Render => {
+                // Sessions keep a fixed packet width — the spec is part of
+                // the session key, so clients pick the width per stream.
+                let options = RenderOptions::scalar().with_packet_width(spec.packet_width);
+                let mut pipeline = TunedPipeline::new(scene, spec.algo)
+                    .resolution(spec.res, spec.res)
+                    .render_options(options)
+                    .tuner_seed(SESSION_TUNER_SEED);
+                if let Some(values) = &warm {
+                    pipeline = pipeline.warm_start(values);
+                }
+                Objective::Render(pipeline)
+            }
+            Workload::Query(shape) => {
+                let mut tuner = Tuner::builder().seed(SESSION_TUNER_SEED);
+                if let Some(values) = &warm {
+                    tuner = tuner.warm_start(values);
+                }
+                let mesh = scene.frame(0);
+                let radius = shape.radius_pm as f32 / 1000.0 * mesh.bounds().extent().length();
+                Objective::Query {
+                    mesh,
+                    shape,
+                    radius,
+                    workflow: TuningWorkflow::new(spec.algo, tuner.build(), false),
+                }
+            }
+        };
         telemetry::event_owned(
             "server.session",
             vec![
                 ("op", "create".into()),
                 ("session", spec.id().into()),
+                ("workload", spec.workload.name().into()),
                 ("warm_start", warm.is_some().into()),
             ],
         );
         Ok(Session {
             spec,
-            pipeline,
+            objective,
             warm_started: warm.is_some(),
             persisted: false,
-            renders: 0,
+            served: 0,
             stops_converged: 0,
             stops_frame_budget: 0,
         })
@@ -147,9 +210,10 @@ impl Session {
         &self.spec
     }
 
-    /// The scene backing the pipeline.
-    pub fn scene(&self) -> &Scene {
-        self.pipeline.scene()
+    /// What the session's tuner steps measure, with the scene, mesh or
+    /// batch shape that requests against it use.
+    pub fn objective(&self) -> &Objective {
+        &self.objective
     }
 
     /// Whether the tuner was seeded from a stored configuration.
@@ -157,26 +221,23 @@ impl Session {
         self.warm_started
     }
 
-    /// Pipeline steps taken so far.
+    /// Tuner steps taken so far.
     pub fn steps_taken(&self) -> usize {
-        self.pipeline.steps_taken()
+        self.objective.workflow().tuner().iterations()
     }
 
     /// Best tuned values so far, if the tuner has measured anything.
     pub fn best_values(&self) -> Option<Vec<i64>> {
-        self.pipeline
-            .workflow()
-            .tuner()
-            .best()
-            .map(|(c, _)| c.values().to_vec())
+        let best = self.objective.workflow().tuner().best();
+        best.map(|(config, _)| config.values().to_vec())
     }
 
-    /// Build parameters for plain render requests: the tuner's best when
-    /// one exists, the paper's `C_base` otherwise. The flag is `true`
+    /// Build parameters for render and query requests: the tuner's best
+    /// when one exists, the paper's `C_base` otherwise. The flag is `true`
     /// when the config came from the tuner.
     pub fn current_params(&self) -> (BuildParams, bool) {
-        match self.pipeline.workflow().tuner().best() {
-            Some((config, _)) => (params_from_values(self.spec.algo, config.values()), true),
+        match self.best_values() {
+            Some(values) => (build_params(self.spec.algo, &values), true),
             None => (base_build_params(), false),
         }
     }
@@ -184,12 +245,12 @@ impl Session {
     /// Runs up to `steps` tuner steps, persisting to `store` the first
     /// time the session converges.
     pub fn tune(&mut self, steps: usize, store: &ConfigStore) -> TuneSummary {
-        let (frames, reason) = self.pipeline.run_budget(steps);
+        let (steps_run, reason) = self.objective.run_budget(steps);
         match reason {
             StopReason::Converged => self.stops_converged += 1,
             StopReason::FrameBudget => self.stops_frame_budget += 1,
         }
-        let tuner = self.pipeline.workflow().tuner();
+        let tuner = self.objective.workflow().tuner();
         let converged = tuner.converged();
         let phase = tuner.phase();
         let (best_values, best_cost) = match tuner.best() {
@@ -200,13 +261,14 @@ impl Session {
         if converged && !self.persisted && !best_values.is_empty() {
             self.persisted = true;
             persisted = store
-                .record(
+                .record_workload(
                     &self.spec.scene,
                     self.spec.algo,
+                    self.spec.workload.name(),
                     self.spec.res,
                     &best_values,
                     best_cost,
-                    self.pipeline.steps_taken() as u64,
+                    self.steps_taken() as u64,
                 )
                 .unwrap_or(false);
         }
@@ -215,15 +277,16 @@ impl Session {
             vec![
                 ("op", "tune".into()),
                 ("session", self.spec.id().into()),
-                ("steps_run", frames.len().into()),
+                ("workload", self.spec.workload.name().into()),
+                ("steps_run", steps_run.into()),
                 ("reason", reason.as_str().into()),
                 ("phase", phase.as_str().into()),
                 ("persisted", persisted.into()),
             ],
         );
         TuneSummary {
-            steps_run: frames.len(),
-            total_steps: self.pipeline.steps_taken(),
+            steps_run,
+            total_steps: self.steps_taken(),
             reason,
             converged,
             phase,
@@ -234,31 +297,25 @@ impl Session {
     }
 
     /// Point-in-time convergence summary, as exposed per session in the
-    /// `stats` response (`sessions.detail`).
+    /// `stats` response (`sessions.detail`). Only the served-count key
+    /// (`renders` or `queries`) and a query session's batch shape differ
+    /// by workload.
     pub fn summary_json(&self) -> JsonValue {
-        let tuner = self.pipeline.workflow().tuner();
-        let (best_values, best_cost) = match tuner.best() {
-            Some((config, cost)) => (
-                config
-                    .values()
-                    .iter()
-                    .copied()
-                    .map(JsonValue::from)
-                    .collect::<Vec<_>>()
-                    .into(),
-                JsonValue::from(cost * 1e3),
-            ),
-            None => (JsonValue::Null, JsonValue::Null),
+        let tuner = self.objective.workflow().tuner();
+        let best = tuner.best();
+        let served = match self.objective {
+            Objective::Render(_) => "renders",
+            Objective::Query { .. } => "queries",
         };
-        JsonValue::object([
+        let mut fields = vec![
             ("id", JsonValue::from(self.spec.id())),
-            ("workload", "render".into()),
+            ("workload", self.spec.workload.name().into()),
             ("phase", tuner.phase().as_str().into()),
             ("converged", tuner.converged().into()),
-            ("steps", self.pipeline.steps_taken().into()),
+            ("steps", self.steps_taken().into()),
             ("measurements", tuner.iterations().into()),
             ("retunes", tuner.retunes().into()),
-            ("renders", self.renders.into()),
+            (served, self.served.into()),
             ("warm_started", self.warm_started.into()),
             ("persisted", self.persisted.into()),
             (
@@ -268,9 +325,21 @@ impl Session {
                     ("frame_budget", self.stops_frame_budget.into()),
                 ]),
             ),
-            ("best_config", best_values),
-            ("best_cost_ms", best_cost),
-        ])
+            ("best_config", config_json(best.map(|(c, _)| c.values()))),
+            (
+                "best_cost_ms",
+                best.map_or(JsonValue::Null, |(_, cost)| (cost * 1e3).into()),
+            ),
+        ];
+        if let Objective::Query { shape, .. } = &self.objective {
+            fields.extend([
+                ("sampler", shape.sampler.name().into()),
+                ("batch", shape.batch.into()),
+                ("k", shape.k.into()),
+                ("radius_pm", shape.radius_pm.into()),
+            ]);
+        }
+        JsonValue::object(fields)
     }
 }
 
@@ -313,276 +382,6 @@ pub fn run_query_batch(tree: &KdTree, points: &[Vec3], k: usize, radius: f32) ->
     stats
 }
 
-/// A point-query tuning session: same search space as [`Session`]
-/// (`CI`/`CB`/`S`, plus `R` for lazy), but the measured cost is
-/// build-plus-query-batch latency instead of build-plus-render frame
-/// time.
-pub struct QuerySession {
-    spec: SessionSpec,
-    shape: QueryShape,
-    mesh: Arc<TriangleMesh>,
-    /// Gather radius in world units (`radius_pm` × bbox diagonal / 1000).
-    radius: f32,
-    tuner: Tuner,
-    handles: (ParamHandle, ParamHandle, ParamHandle, Option<ParamHandle>),
-    warm_started: bool,
-    persisted: bool,
-    steps: usize,
-    /// Query requests served (monotonic, informational).
-    pub queries: u64,
-    stops_converged: u64,
-    stops_frame_budget: u64,
-}
-
-impl QuerySession {
-    fn create(spec: SessionSpec, store: &ConfigStore) -> Result<QuerySession, (ErrorCode, String)> {
-        let Workload::Query(shape) = spec.workload else {
-            return Err((
-                ErrorCode::Internal,
-                "query session created from a render spec".into(),
-            ));
-        };
-        let params = scale_params(&spec.scale)?;
-        let scene = kdtune_scenes::by_name(&spec.scene, &params).ok_or_else(|| {
-            (
-                ErrorCode::UnknownScene,
-                format!(
-                    "unknown scene {:?} (expected one of {:?})",
-                    spec.scene,
-                    kdtune_scenes::SCENE_NAMES
-                ),
-            )
-        })?;
-        // Query batches target the static first frame: tuning needs a
-        // fixed cost surface, and the samplers are deterministic by seed.
-        let mesh = scene.frame(0);
-        let radius = shape.radius_pm as f32 / 1000.0 * mesh.bounds().extent().length();
-        let warm = store.lookup_workload(&spec.scene, spec.algo, "query");
-        let mut builder = Tuner::builder().seed(SESSION_TUNER_SEED);
-        if let Some(stored) = &warm {
-            builder = builder.warm_start(&stored.values);
-        }
-        let mut tuner = builder.build();
-        let ci = tuner.register_parameter("CI", 3, 101, 1);
-        let cb = tuner.register_parameter("CB", 0, 60, 1);
-        let s = tuner.register_parameter("S", 1, 8, 1);
-        let r =
-            (spec.algo == Algorithm::Lazy).then(|| tuner.register_parameter_pow2("R", 16, 8192));
-        telemetry::event_owned(
-            "server.session",
-            vec![
-                ("op", "create".into()),
-                ("session", spec.id().into()),
-                ("workload", "query".into()),
-                ("warm_start", warm.is_some().into()),
-            ],
-        );
-        Ok(QuerySession {
-            spec,
-            shape,
-            mesh,
-            radius,
-            tuner,
-            handles: (ci, cb, s, r),
-            warm_started: warm.is_some(),
-            persisted: false,
-            steps: 0,
-            queries: 0,
-            stops_converged: 0,
-            stops_frame_budget: 0,
-        })
-    }
-
-    /// The spec this session serves.
-    pub fn spec(&self) -> &SessionSpec {
-        &self.spec
-    }
-
-    /// The batch shape queries run with.
-    pub fn shape(&self) -> QueryShape {
-        self.shape
-    }
-
-    /// The mesh queries run against.
-    pub fn mesh(&self) -> &Arc<TriangleMesh> {
-        &self.mesh
-    }
-
-    /// Gather radius in world units.
-    pub fn radius(&self) -> f32 {
-        self.radius
-    }
-
-    /// Whether the tuner was seeded from a stored configuration.
-    pub fn warm_started(&self) -> bool {
-        self.warm_started
-    }
-
-    /// Tuner measurement cycles run so far.
-    pub fn steps_taken(&self) -> usize {
-        self.steps
-    }
-
-    /// Best tuned values so far, if the tuner has measured anything.
-    pub fn best_values(&self) -> Option<Vec<i64>> {
-        self.tuner.best().map(|(c, _)| c.values().to_vec())
-    }
-
-    /// Build parameters for query requests: the tuner's best when one
-    /// exists, the paper's `C_base` otherwise.
-    pub fn current_params(&self) -> (BuildParams, bool) {
-        match self.tuner.best() {
-            Some((config, _)) => (params_from_values(self.spec.algo, config.values()), true),
-            None => (base_build_params(), false),
-        }
-    }
-
-    /// Runs one measured batch against an externally built (usually
-    /// cached) tree.
-    pub fn run_batch(&mut self, tree: &KdTree, seed: u64) -> QueryBatchStats {
-        self.queries += 1;
-        let points = sample_points(
-            &self.mesh,
-            self.shape.sampler,
-            self.shape.batch as usize,
-            seed,
-        );
-        run_query_batch(tree, &points, self.shape.k as usize, self.radius)
-    }
-
-    /// Runs up to `steps` tuner cycles — each one builds a tree with the
-    /// tuner's candidate config and times a full query batch on it —
-    /// persisting to `store` (workload `"query"`) the first time the
-    /// session converges.
-    pub fn tune(&mut self, steps: usize, store: &ConfigStore) -> TuneSummary {
-        let mut steps_run = 0;
-        let mut reason = StopReason::FrameBudget;
-        for _ in 0..steps {
-            if self.tuner.converged() {
-                reason = StopReason::Converged;
-                break;
-            }
-            self.tuner.start_cycle();
-            let values: Vec<i64> = {
-                let (ci, cb, s, r) = &self.handles;
-                let mut v = vec![self.tuner.get(*ci), self.tuner.get(*cb), self.tuner.get(*s)];
-                if let Some(r) = r {
-                    v.push(self.tuner.get(*r));
-                }
-                v
-            };
-            let params = params_from_values(self.spec.algo, &values);
-            let t0 = Instant::now();
-            let tree = build_eager(Arc::clone(&self.mesh), self.spec.algo, &params);
-            // Decorrelate batches across cycles while staying replayable.
-            let seed = SESSION_TUNER_SEED ^ self.tuner.iterations() as u64;
-            let points = sample_points(
-                &self.mesh,
-                self.shape.sampler,
-                self.shape.batch as usize,
-                seed,
-            );
-            run_query_batch(&tree, &points, self.shape.k as usize, self.radius);
-            let cost = t0.elapsed().as_secs_f64();
-            self.tuner.stop_with(cost);
-            self.steps += 1;
-            steps_run += 1;
-        }
-        if self.tuner.converged() {
-            reason = StopReason::Converged;
-        }
-        match reason {
-            StopReason::Converged => self.stops_converged += 1,
-            StopReason::FrameBudget => self.stops_frame_budget += 1,
-        }
-        let converged = self.tuner.converged();
-        let phase = self.tuner.phase();
-        let (best_values, best_cost) = match self.tuner.best() {
-            Some((config, cost)) => (config.values().to_vec(), cost),
-            None => (Vec::new(), 0.0),
-        };
-        let mut persisted = false;
-        if converged && !self.persisted && !best_values.is_empty() {
-            self.persisted = true;
-            persisted = store
-                .record_workload(
-                    &self.spec.scene,
-                    self.spec.algo,
-                    "query",
-                    self.spec.res,
-                    &best_values,
-                    best_cost,
-                    self.steps as u64,
-                )
-                .unwrap_or(false);
-        }
-        telemetry::event_owned(
-            "server.session",
-            vec![
-                ("op", "tune".into()),
-                ("session", self.spec.id().into()),
-                ("workload", "query".into()),
-                ("steps_run", steps_run.into()),
-                ("reason", reason.as_str().into()),
-                ("phase", phase.as_str().into()),
-                ("persisted", persisted.into()),
-            ],
-        );
-        TuneSummary {
-            steps_run,
-            total_steps: self.steps,
-            reason,
-            converged,
-            phase,
-            best_values,
-            best_cost,
-            persisted,
-        }
-    }
-
-    /// Point-in-time convergence summary for `stats` (`sessions.detail`).
-    pub fn summary_json(&self) -> JsonValue {
-        let (best_values, best_cost) = match self.tuner.best() {
-            Some((config, cost)) => (
-                config
-                    .values()
-                    .iter()
-                    .copied()
-                    .map(JsonValue::from)
-                    .collect::<Vec<_>>()
-                    .into(),
-                JsonValue::from(cost * 1e3),
-            ),
-            None => (JsonValue::Null, JsonValue::Null),
-        };
-        JsonValue::object([
-            ("id", JsonValue::from(self.spec.id())),
-            ("workload", "query".into()),
-            ("sampler", self.shape.sampler.name().into()),
-            ("batch", self.shape.batch.into()),
-            ("k", self.shape.k.into()),
-            ("radius_pm", self.shape.radius_pm.into()),
-            ("phase", self.tuner.phase().as_str().into()),
-            ("converged", self.tuner.converged().into()),
-            ("steps", self.steps.into()),
-            ("measurements", self.tuner.iterations().into()),
-            ("retunes", self.tuner.retunes().into()),
-            ("queries", self.queries.into()),
-            ("warm_started", self.warm_started.into()),
-            ("persisted", self.persisted.into()),
-            (
-                "stops",
-                JsonValue::object([
-                    ("converged", JsonValue::from(self.stops_converged)),
-                    ("frame_budget", self.stops_frame_budget.into()),
-                ]),
-            ),
-            ("best_config", best_values),
-            ("best_cost_ms", best_cost),
-        ])
-    }
-}
-
 /// Builds the eager form of a tree for query work: lazy builds are
 /// force-expanded, since point queries (unlike rays) visit leaves in an
 /// unbounded pattern and the expansion cost is part of what `R` tunes.
@@ -597,7 +396,6 @@ pub fn build_eager(mesh: Arc<TriangleMesh>, algorithm: Algorithm, params: &Build
 pub struct SessionManager {
     store: Arc<ConfigStore>,
     sessions: Mutex<HashMap<String, Arc<Mutex<Session>>>>,
-    query_sessions: Mutex<HashMap<String, Arc<Mutex<QuerySession>>>>,
 }
 
 impl SessionManager {
@@ -606,7 +404,6 @@ impl SessionManager {
         SessionManager {
             store,
             sessions: Mutex::new(HashMap::new()),
-            query_sessions: Mutex::new(HashMap::new()),
         }
     }
 
@@ -615,9 +412,9 @@ impl SessionManager {
         &self.store
     }
 
-    /// Returns the session for `spec`, creating (and possibly
-    /// warm-starting) it on first use. Scene construction runs outside
-    /// the map lock; if two threads race, the first insert wins.
+    /// Returns the session for `spec` (either workload), creating (and
+    /// possibly warm-starting) it on first use. Scene construction runs
+    /// outside the map lock; if two threads race, the first insert wins.
     pub fn get_or_create(
         &self,
         spec: &SessionSpec,
@@ -634,39 +431,14 @@ impl SessionManager {
         Ok(Arc::clone(entry))
     }
 
-    /// Returns the query session for `spec` (whose workload must be
-    /// [`Workload::Query`]), creating it on first use with the same
-    /// first-insert-wins race handling as [`get_or_create`](Self::get_or_create).
-    pub fn get_or_create_query(
-        &self,
-        spec: &SessionSpec,
-    ) -> Result<Arc<Mutex<QuerySession>>, (ErrorCode, String)> {
-        let id = spec.id();
-        if let Some(session) = self.query_sessions.lock().get(&id) {
-            return Ok(Arc::clone(session));
-        }
-        let session = QuerySession::create(spec.clone(), &self.store)?;
-        let mut sessions = self.query_sessions.lock();
-        let entry = sessions
-            .entry(id)
-            .or_insert_with(|| Arc::new(Mutex::new(session)));
-        Ok(Arc::clone(entry))
-    }
-
     /// Number of live sessions across both workloads.
     pub fn count(&self) -> usize {
-        self.sessions.lock().len() + self.query_sessions.lock().len()
-    }
-
-    /// Number of live query sessions.
-    pub fn query_count(&self) -> usize {
-        self.query_sessions.lock().len()
+        self.sessions.lock().len()
     }
 
     /// Session ids across both workloads, sorted (for stats reporting).
     pub fn ids(&self) -> Vec<String> {
         let mut ids: Vec<String> = self.sessions.lock().keys().cloned().collect();
-        ids.extend(self.query_sessions.lock().keys().cloned());
         ids.sort();
         ids
     }
@@ -675,41 +447,17 @@ impl SessionManager {
     /// a worker (lock held) are reported as `{"id":…,"busy":true}` rather
     /// than blocking the stats path behind a tune step.
     pub fn summaries(&self) -> Vec<JsonValue> {
-        let render_entries: Vec<(String, Arc<Mutex<Session>>)> = {
+        let mut entries: Vec<(String, Arc<Mutex<Session>>)> = {
             let sessions = self.sessions.lock();
-            sessions
-                .iter()
-                .map(|(id, s)| (id.clone(), Arc::clone(s)))
-                .collect()
+            let entries = sessions.iter().map(|(id, s)| (id.clone(), Arc::clone(s)));
+            entries.collect()
         };
-        let query_entries: Vec<(String, Arc<Mutex<QuerySession>>)> = {
-            let sessions = self.query_sessions.lock();
-            sessions
-                .iter()
-                .map(|(id, s)| (id.clone(), Arc::clone(s)))
-                .collect()
-        };
-        let busy_json =
-            |id: String| JsonValue::object([("id", JsonValue::from(id)), ("busy", true.into())]);
-        let mut entries: Vec<(String, JsonValue)> = render_entries
-            .into_iter()
-            .map(|(id, session)| {
-                let json = match session.try_lock() {
-                    Some(session) => session.summary_json(),
-                    None => busy_json(id.clone()),
-                };
-                (id, json)
-            })
-            .collect();
-        entries.extend(query_entries.into_iter().map(|(id, session)| {
-            let json = match session.try_lock() {
-                Some(session) => session.summary_json(),
-                None => busy_json(id.clone()),
-            };
-            (id, json)
-        }));
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries.into_iter().map(|(_, json)| json).collect()
+        let summary = |(id, session): (String, Arc<Mutex<Session>>)| match session.try_lock() {
+            Some(session) => session.summary_json(),
+            None => JsonValue::object([("id", JsonValue::from(id)), ("busy", true.into())]),
+        };
+        entries.into_iter().map(summary).collect()
     }
 }
 
@@ -742,6 +490,20 @@ mod tests {
                 ..QueryShape::default()
             }),
             ..spec(scene)
+        }
+    }
+
+    /// Tunes in steps of 8 until the session converges; returns how many
+    /// of those calls persisted.
+    fn tune_to_convergence(session: &mut Session, store: &ConfigStore) -> u32 {
+        let mut persists = 0;
+        loop {
+            let summary = session.tune(8, store);
+            persists += summary.persisted as u32;
+            if summary.converged {
+                return persists;
+            }
+            assert!(session.steps_taken() < 400, "tuner never converged");
         }
     }
 
@@ -790,79 +552,91 @@ mod tests {
     }
 
     #[test]
-    fn params_from_values_honors_the_lazy_r_dimension() {
-        let eager = params_from_values(Algorithm::InPlace, &[21, 11, 4]);
-        assert_eq!((eager.s, eager.r), (4, 4096));
-        let lazy = params_from_values(Algorithm::Lazy, &[21, 11, 4, 256]);
-        assert_eq!((lazy.s, lazy.r), (4, 256));
+    fn tune_persists_once_per_workload_and_warm_starts_the_next_manager() {
+        for (spec, other) in [
+            (spec("wood_doll"), "query"),
+            (query_spec("wood_doll"), "render"),
+        ] {
+            let workload = spec.workload.name();
+            let store = Arc::new(temp_store(&format!("warm-{workload}")));
+            let path = store.path().to_path_buf();
+            let cold_steps;
+            {
+                let manager = SessionManager::new(Arc::clone(&store));
+                let session = manager.get_or_create(&spec).unwrap();
+                let mut session = session.lock();
+                assert!(!session.warm_started());
+                assert_eq!(tune_to_convergence(&mut session, manager.store()), 1);
+                cold_steps = session.steps_taken();
+                // Further tuning after convergence never persists again.
+                assert!(!session.tune(1, manager.store()).persisted);
+            }
+
+            let store = Arc::new(ConfigStore::open(&path).unwrap());
+            assert_eq!(store.len(), 1);
+            assert!(
+                store
+                    .lookup_workload("wood_doll", Algorithm::InPlace, workload)
+                    .is_some(),
+                "converged config must persist under the {workload} workload"
+            );
+            assert!(
+                store
+                    .lookup_workload("wood_doll", Algorithm::InPlace, other)
+                    .is_none(),
+                "{workload} tuning must not pollute {other} warm starts"
+            );
+            let manager = SessionManager::new(store);
+            let session = manager.get_or_create(&spec).unwrap();
+            let mut session = session.lock();
+            assert!(
+                session.warm_started(),
+                "stored config must warm-start the new session"
+            );
+            tune_to_convergence(&mut session, manager.store());
+            let warm_steps = session.steps_taken();
+            // Render frames converge strictly faster; a query cycle's cost
+            // is noisier (each samples a new batch), so it must only never
+            // be slower.
+            let faster = match spec.workload {
+                Workload::Render => warm_steps < cold_steps,
+                Workload::Query(_) => warm_steps <= cold_steps,
+            };
+            assert!(
+                faster,
+                "{workload}: warm {warm_steps} vs cold {cold_steps} steps"
+            );
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
-    fn tune_persists_once_on_convergence_and_warm_starts_the_next_manager() {
-        let store = Arc::new(temp_store("warm"));
-        let path = store.path().to_path_buf();
-        let cold_steps;
-        {
-            let manager = SessionManager::new(Arc::clone(&store));
-            let session = manager.get_or_create(&spec("wood_doll")).unwrap();
-            let mut session = session.lock();
-            assert!(!session.warm_started());
-            let mut persists = 0;
-            loop {
-                let summary = session.tune(8, manager.store());
-                persists += summary.persisted as u32;
-                if summary.converged {
-                    break;
-                }
-                assert!(session.steps_taken() < 400, "tuner never converged");
-            }
-            cold_steps = session.steps_taken();
-            // Further tuning after convergence never persists again.
-            let again = session.tune(1, manager.store());
-            assert!(!again.persisted);
-            assert_eq!(persists, 1);
-        }
-
-        let store = Arc::new(ConfigStore::open(&path).unwrap());
-        assert_eq!(store.len(), 1);
-        let manager = SessionManager::new(store);
-        let session = manager.get_or_create(&spec("wood_doll")).unwrap();
+    fn converged_query_session_runs_one_monitoring_step() {
+        let manager = SessionManager::new(Arc::new(temp_store("qmonitor")));
+        let session = manager.get_or_create(&query_spec("wood_doll")).unwrap();
         let mut session = session.lock();
-        assert!(
-            session.warm_started(),
-            "stored config must warm-start the new session"
-        );
-        loop {
-            let summary = session.tune(8, manager.store());
-            if summary.converged {
-                break;
-            }
-            assert!(session.steps_taken() < 400, "warm tuner never converged");
-        }
-        assert!(
-            session.steps_taken() < cold_steps,
-            "warm start must converge in fewer steps (warm {} vs cold {})",
-            session.steps_taken(),
-            cold_steps
-        );
-        std::fs::remove_file(&path).ok();
+        tune_to_convergence(&mut session, manager.store());
+        let before = session.steps_taken();
+        // Like a render session, a converged one keeps measuring its best
+        // configuration, which is what drift detection re-tunes on.
+        let summary = session.tune(5, manager.store());
+        assert_eq!(summary.steps_run, 1);
+        assert_eq!(summary.reason, StopReason::Converged);
+        assert_eq!(summary.total_steps, before + 1);
+        std::fs::remove_file(manager.store().path()).ok();
     }
 
     #[test]
     fn render_and_query_sessions_are_isolated() {
         let manager = SessionManager::new(Arc::new(temp_store("isolated")));
         let _render = manager.get_or_create(&spec("wood_doll")).unwrap();
-        let q1 = manager
-            .get_or_create_query(&query_spec("wood_doll"))
-            .unwrap();
-        let q2 = manager
-            .get_or_create_query(&query_spec("wood_doll"))
-            .unwrap();
+        let q1 = manager.get_or_create(&query_spec("wood_doll")).unwrap();
+        let q2 = manager.get_or_create(&query_spec("wood_doll")).unwrap();
         assert!(Arc::ptr_eq(&q1, &q2), "equal query specs share a session");
         assert_eq!(manager.count(), 2);
-        assert_eq!(manager.query_count(), 1);
         let ids = manager.ids();
-        assert!(ids.iter().any(|id| id.contains("/query/")), "{ids:?}");
+        let query_ids = ids.iter().filter(|id| id.contains("/query/")).count();
+        assert_eq!(query_ids, 1, "{ids:?}");
         let summaries = manager.summaries();
         assert_eq!(summaries.len(), 2);
         let workloads: Vec<&str> = summaries
@@ -875,83 +649,31 @@ mod tests {
     #[test]
     fn query_session_runs_batches_and_reports_results() {
         let manager = SessionManager::new(Arc::new(temp_store("qbatch")));
-        let session = manager
-            .get_or_create_query(&query_spec("wood_doll"))
-            .unwrap();
-        let mut session = session.lock();
+        let session = manager.get_or_create(&query_spec("wood_doll")).unwrap();
+        let session = session.lock();
         let (params, tuned) = session.current_params();
         assert!(!tuned, "fresh query session starts at C_base");
-        let tree = build_eager(Arc::clone(session.mesh()), Algorithm::InPlace, &params);
-        let stats = session.run_batch(&tree, 5);
+        let Objective::Query {
+            mesh,
+            shape,
+            radius,
+            ..
+        } = session.objective()
+        else {
+            panic!("a query spec makes a query session");
+        };
+        let tree = build_eager(Arc::clone(mesh), Algorithm::InPlace, &params);
+        let batch = |seed| {
+            let points = sample_points(mesh, shape.sampler, shape.batch as usize, seed);
+            run_query_batch(&tree, &points, shape.k as usize, *radius)
+        };
+        let stats = batch(5);
         assert_eq!(stats.points, 64);
         assert_eq!(stats.knn_results, 64 * 8, "k=8 neighbors per point");
         assert!(stats.mean_knn_far_d2 > 0.0);
         // Same seed, same batch: deterministic replay.
-        let again = session.run_batch(&tree, 5);
+        let again = batch(5);
         assert_eq!(stats.knn_results, again.knn_results);
         assert_eq!(stats.radius_results, again.radius_results);
-        assert_eq!(session.queries, 2);
-    }
-
-    #[test]
-    fn query_tune_persists_under_the_query_workload_and_warm_starts() {
-        let store = Arc::new(temp_store("qwarm"));
-        let path = store.path().to_path_buf();
-        let cold_steps;
-        {
-            let manager = SessionManager::new(Arc::clone(&store));
-            let session = manager
-                .get_or_create_query(&query_spec("wood_doll"))
-                .unwrap();
-            let mut session = session.lock();
-            assert!(!session.warm_started());
-            let mut persists = 0;
-            loop {
-                let summary = session.tune(8, manager.store());
-                persists += summary.persisted as u32;
-                if summary.converged {
-                    break;
-                }
-                assert!(session.steps_taken() < 400, "query tuner never converged");
-            }
-            cold_steps = session.steps_taken();
-            assert_eq!(persists, 1);
-            assert!(!session.tune(1, manager.store()).persisted);
-        }
-
-        let store = Arc::new(ConfigStore::open(&path).unwrap());
-        assert!(
-            store
-                .lookup_workload("wood_doll", Algorithm::InPlace, "query")
-                .is_some(),
-            "converged query config must persist under the query workload"
-        );
-        assert!(
-            store.lookup("wood_doll", Algorithm::InPlace).is_none(),
-            "query tuning must not pollute render warm starts"
-        );
-        let manager = SessionManager::new(store);
-        let session = manager
-            .get_or_create_query(&query_spec("wood_doll"))
-            .unwrap();
-        let mut session = session.lock();
-        assert!(session.warm_started());
-        loop {
-            let summary = session.tune(8, manager.store());
-            if summary.converged {
-                break;
-            }
-            assert!(
-                session.steps_taken() < 400,
-                "warm query tuner never converged"
-            );
-        }
-        assert!(
-            session.steps_taken() <= cold_steps,
-            "warm start must not converge slower (warm {} vs cold {})",
-            session.steps_taken(),
-            cold_steps
-        );
-        std::fs::remove_file(&path).ok();
     }
 }

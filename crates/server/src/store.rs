@@ -77,8 +77,9 @@ pub struct ConfigStore {
 }
 
 impl ConfigStore {
-    /// Opens (or lazily creates on first [`record`](Self::record)) the
-    /// store at `path`, indexing the lowest-cost entry per key.
+    /// Opens (or lazily creates on first
+    /// [`record_workload`](Self::record_workload)) the store at `path`,
+    /// indexing the lowest-cost entry per key.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<ConfigStore> {
         let path = path.into();
         let mut best: HashMap<String, StoredConfig> = HashMap::new();
@@ -129,12 +130,6 @@ impl ConfigStore {
         self.len() == 0
     }
 
-    /// Best render-workload config for `scene` + `algorithm` under the
-    /// *current* pool width and host, if any.
-    pub fn lookup(&self, scene: &str, algorithm: Algorithm) -> Option<StoredConfig> {
-        self.lookup_workload(scene, algorithm, "render")
-    }
-
     /// Best stored config for `scene` + `algorithm` + `workload` under
     /// the *current* pool width and host, if any.
     pub fn lookup_workload(
@@ -151,20 +146,6 @@ impl ConfigStore {
             &self.host,
         );
         self.best.lock().get(&key).cloned()
-    }
-
-    /// Records a converged render-workload result (see
-    /// [`record_workload`](Self::record_workload)).
-    pub fn record(
-        &self,
-        scene: &str,
-        algorithm: Algorithm,
-        res: u32,
-        values: &[i64],
-        cost: f64,
-        steps: u64,
-    ) -> std::io::Result<bool> {
-        self.record_workload(scene, algorithm, "render", res, values, cost, steps)
     }
 
     /// Records a converged result under a workload axis. Appends to the
@@ -279,6 +260,16 @@ mod tests {
         std::env::temp_dir().join(format!("kdtune-store-{tag}-{}.jsonl", std::process::id()))
     }
 
+    /// Records a render-tuned `bunny` result.
+    fn record(store: &ConfigStore, algo: Algorithm, values: &[i64], cost: f64, steps: u64) -> bool {
+        let recorded = store.record_workload("bunny", algo, "render", 64, values, cost, steps);
+        recorded.unwrap()
+    }
+
+    fn lookup(store: &ConfigStore, scene: &str, algo: Algorithm) -> Option<StoredConfig> {
+        store.lookup_workload(scene, algo, "render")
+    }
+
     #[test]
     fn record_then_reopen_round_trips_the_best_entry() {
         let path = temp_store("roundtrip");
@@ -286,30 +277,22 @@ mod tests {
         {
             let store = ConfigStore::open(&path).unwrap();
             assert!(store.is_empty());
-            assert!(store
-                .record("bunny", Algorithm::InPlace, 64, &[21, 11, 4], 0.0123, 9)
-                .unwrap());
+            assert!(record(&store, Algorithm::InPlace, &[21, 11, 4], 0.0123, 9));
             // Worse cost for the same key: appended nowhere, index unchanged.
-            assert!(!store
-                .record("bunny", Algorithm::InPlace, 64, &[50, 5, 2], 0.5, 3)
-                .unwrap());
+            assert!(!record(&store, Algorithm::InPlace, &[50, 5, 2], 0.5, 3));
             // Better cost replaces.
-            assert!(store
-                .record("bunny", Algorithm::InPlace, 64, &[19, 12, 4], 0.0100, 12)
-                .unwrap());
-            assert!(store
-                .record("bunny", Algorithm::Lazy, 64, &[17, 10, 3, 4096], 0.02, 7)
-                .unwrap());
+            assert!(record(&store, Algorithm::InPlace, &[19, 12, 4], 0.0100, 12));
+            assert!(record(&store, Algorithm::Lazy, &[17, 10, 3, 4096], 0.02, 7));
         }
         let store = ConfigStore::open(&path).unwrap();
         assert_eq!(store.len(), 2);
-        let best = store.lookup("bunny", Algorithm::InPlace).unwrap();
+        let best = lookup(&store, "bunny", Algorithm::InPlace).unwrap();
         assert_eq!(best.values, vec![19, 12, 4]);
         assert!((best.cost - 0.0100).abs() < 1e-12);
         assert_eq!(best.steps, 12);
-        let lazy = store.lookup("bunny", Algorithm::Lazy).unwrap();
+        let lazy = lookup(&store, "bunny", Algorithm::Lazy).unwrap();
         assert_eq!(lazy.values.len(), 4);
-        assert!(store.lookup("sponza", Algorithm::InPlace).is_none());
+        assert!(lookup(&store, "sponza", Algorithm::InPlace).is_none());
         std::fs::remove_file(&path).ok();
     }
 
@@ -331,8 +314,7 @@ mod tests {
         let store = ConfigStore::open(&path).unwrap();
         assert_eq!(store.len(), 1);
         assert_eq!(
-            store
-                .lookup("fairy_forest", Algorithm::InPlace)
+            lookup(&store, "fairy_forest", Algorithm::InPlace)
                 .unwrap()
                 .values,
             vec![23, 9, 3]
@@ -357,13 +339,13 @@ mod tests {
         std::fs::write(&path, format!("{}\n", encode_line(&entry))).unwrap();
         let store = ConfigStore::open(&path).unwrap();
         assert!(
-            store.lookup("bunny", Algorithm::InPlace).is_none(),
+            lookup(&store, "bunny", Algorithm::InPlace).is_none(),
             "a config tuned under another pool width must not warm-start this one"
         );
         entry.threads = rayon::current_num_threads().max(1);
         std::fs::write(&path, format!("{}\n", encode_line(&entry))).unwrap();
         let store = ConfigStore::open(&path).unwrap();
-        assert!(store.lookup("bunny", Algorithm::InPlace).is_some());
+        assert!(lookup(&store, "bunny", Algorithm::InPlace).is_some());
         std::fs::remove_file(&path).ok();
     }
 
@@ -373,9 +355,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         {
             let store = ConfigStore::open(&path).unwrap();
-            assert!(store
-                .record("bunny", Algorithm::InPlace, 64, &[21, 11, 4], 0.012, 9)
-                .unwrap());
+            assert!(record(&store, Algorithm::InPlace, &[21, 11, 4], 0.012, 9));
             // A cheaper query-tuned config must not shadow the render best.
             assert!(store
                 .record_workload(
@@ -392,7 +372,7 @@ mod tests {
         let store = ConfigStore::open(&path).unwrap();
         assert_eq!(store.len(), 2, "one best per workload");
         assert_eq!(
-            store.lookup("bunny", Algorithm::InPlace).unwrap().values,
+            lookup(&store, "bunny", Algorithm::InPlace).unwrap().values,
             vec![21, 11, 4]
         );
         assert_eq!(
@@ -414,7 +394,7 @@ mod tests {
             .replace("HOST", &hostname());
         std::fs::write(&path, format!("{legacy}\n")).unwrap();
         let store = ConfigStore::open(&path).unwrap();
-        let best = store.lookup("bunny", Algorithm::InPlace).unwrap();
+        let best = lookup(&store, "bunny", Algorithm::InPlace).unwrap();
         assert_eq!(best.workload, "render");
         assert!(
             store

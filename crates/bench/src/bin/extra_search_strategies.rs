@@ -38,7 +38,7 @@ fn drive(
 }
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&[]);
     let opts = ExperimentOpts::from_args(&args);
     let budget = if args.quick { 60 } else { 150 };
     let scene = sibenik(&opts.scene_params);

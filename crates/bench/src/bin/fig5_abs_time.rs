@@ -16,7 +16,7 @@ use kdtune_bench::stats::median;
 const SCENES: [&str; 3] = ["sibenik", "sponza", "fairy_forest"];
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&[]);
     let opts = ExperimentOpts::from_args(&args);
     let scene_filter: Vec<&str> = match &args.scene {
         Some(s) => vec![s.as_str()],

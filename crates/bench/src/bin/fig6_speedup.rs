@@ -11,7 +11,7 @@ use kdtune_bench::harness::{tune_scene_repeated, ExperimentOpts};
 use kdtune_bench::stats::median;
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&[]);
     let opts = ExperimentOpts::from_args(&args);
     let scenes = match &args.scene {
         Some(s) => {

@@ -43,7 +43,7 @@ fn report(group: &str, label: &str, configs: &[Config], csv: &mut CsvTable) {
 }
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&["--platforms"]);
     let opts = ExperimentOpts::from_args(&args);
     let mut csv = CsvTable::new([
         "group", "label", "param", "min", "q1", "median", "q3", "max",

@@ -16,7 +16,7 @@ use kdtune_bench::stats::mean;
 const ALGO: Algorithm = Algorithm::InPlace;
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&[]);
     let opts = ExperimentOpts::from_args(&args);
     let mut csv = CsvTable::new(["scene", "iteration", "mean_speedup"]);
 

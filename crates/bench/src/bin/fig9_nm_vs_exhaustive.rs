@@ -37,7 +37,7 @@ fn exhaustive_best(
 }
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&[]);
     let opts = ExperimentOpts::from_args(&args);
     // Grid stride: quick mode visits a coarse lattice, full mode a finer
     // one. Endpoints are always included by ExhaustiveSearch.

@@ -128,7 +128,7 @@ fn values_json(values: &[i64]) -> JsonValue {
 }
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&["--smoke"]);
     let smoke = args.has_flag("--smoke");
     let settings = if smoke {
         BenchSettings {

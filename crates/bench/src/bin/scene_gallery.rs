@@ -7,9 +7,9 @@
 //! ```
 //!
 //! `--packet-width {4,8,16}` renders through the coherent packet path
-//! instead of the scalar path (`--packets` is a deprecated alias for
-//! width 4); the images are bit-identical at every width, so the flag
-//! doubles as an end-to-end equivalence check against committed PPMs.
+//! instead of the scalar path; the images are bit-identical at every
+//! width, so the flag doubles as an end-to-end equivalence check against
+//! committed PPMs.
 
 use kdtune::raycast::{render_with_options, Camera};
 use kdtune::scenes::all_scenes;
@@ -19,7 +19,7 @@ use kdtune_bench::harness::ExperimentOpts;
 use std::path::PathBuf;
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&[]);
     let opts = ExperimentOpts::from_args(&args);
     let out = args.out.clone().unwrap_or_else(|| PathBuf::from("gallery"));
     std::fs::create_dir_all(&out).expect("create output dir");

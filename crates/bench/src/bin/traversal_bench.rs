@@ -22,9 +22,8 @@
 //! packet lane utilization and the fraction of inner steps the interval
 //! frustum resolved, and emits `BENCH_traversal.json` into `--out <dir>`
 //! (default `results/`). Pass `--smoke` for a seconds-long CI-sized run
-//! (still covering all comparisons); `--packet-width W` (or the
-//! deprecated `--packets`) also skips the fast-vs-alloc pair — the cheap
-//! CI packet leg.
+//! (still covering all comparisons); `--packet-width W` also skips the
+//! fast-vs-alloc pair — the cheap CI packet leg.
 //!
 //! [`ViewSpec`]: kdtune::scenes::ViewSpec
 
@@ -393,7 +392,7 @@ fn write_json(path: &Path, entries: &[(String, String)]) -> std::io::Result<()> 
 }
 
 fn main() {
-    let args = ExperimentArgs::from_env();
+    let args = ExperimentArgs::from_env(&["--smoke"]);
     let smoke = args.has_flag("--smoke");
     let (params, res) = if smoke {
         (SceneParams::tiny(), SMOKE_RES)

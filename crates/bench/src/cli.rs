@@ -21,10 +21,9 @@ pub struct ExperimentArgs {
     /// machine's default width (or, for fig7, each platform profile).
     pub threads: Option<usize>,
     /// Ray-packet width (`--packet-width W`, one of 0/1/4/8/16; 0 and 1
-    /// mean scalar). `None` keeps each binary's default. The deprecated
-    /// bare `--packets` flag is an alias for width 4.
+    /// mean scalar). `None` keeps each binary's default.
     pub packet_width: Option<u32>,
-    /// Extra flags the specific binary interprets (e.g. `--platforms`).
+    /// The binary-specific flags that were passed (e.g. `--platforms`).
     pub flags: Vec<String>,
 }
 
@@ -45,10 +44,16 @@ impl Default for ExperimentArgs {
 
 impl ExperimentArgs {
     /// Parses an iterator of arguments (without the program name).
+    /// `extra_flags` are the binary-specific flags the caller reads with
+    /// [`ExperimentArgs::has_flag`].
     ///
     /// # Errors
-    /// Returns a usage message for unknown or malformed options.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<ExperimentArgs, String> {
+    /// Returns a usage message for unknown or malformed options, including
+    /// any `--flag` that is neither shared nor in `extra_flags`.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        args: I,
+        extra_flags: &[&str],
+    ) -> Result<ExperimentArgs, String> {
         let mut out = ExperimentArgs::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
@@ -89,28 +94,30 @@ impl ExperimentArgs {
                     }
                     out.packet_width = Some(n);
                 }
-                // Deprecated alias for the original 4-wide packet path.
-                "--packets" => out.packet_width = out.packet_width.or(Some(4)),
                 "--help" | "-h" => {
-                    return Err(
-                        "options: --quick (default) | --full | --out DIR | --scene NAME | \
-                         --repeats N | --trace FILE | --threads N | --packet-width 0|1|4|8|16 \
-                         (--packets = alias for 4) | binary-specific flags (e.g. --platforms)"
-                            .to_string(),
-                    )
+                    let mut usage = "options: --quick (default) | --full | --out DIR | \
+                                     --scene NAME | --repeats N | --trace FILE | --threads N | \
+                                     --packet-width 0|1|4|8|16"
+                        .to_string();
+                    for flag in extra_flags {
+                        usage.push_str(" | ");
+                        usage.push_str(flag);
+                    }
+                    return Err(usage);
                 }
-                other if other.starts_with("--") => out.flags.push(other.to_string()),
+                other if extra_flags.contains(&other) => out.flags.push(other.to_string()),
                 other => return Err(format!("unexpected argument {other:?}")),
             }
         }
         Ok(out)
     }
 
-    /// Parses `std::env::args()` and exits with a usage message on error.
-    /// Installs the JSONL trace recorder when `--trace` / `KDTUNE_TRACE`
-    /// asks for one, so every figure binary traces for free.
-    pub fn from_env() -> ExperimentArgs {
-        let args = match ExperimentArgs::parse(std::env::args().skip(1)) {
+    /// Parses `std::env::args()` (see [`ExperimentArgs::parse`]) and exits
+    /// with a usage message on error. Installs the JSONL trace recorder
+    /// when `--trace` / `KDTUNE_TRACE` asks for one, so every figure
+    /// binary traces for free.
+    pub fn from_env(extra_flags: &[&str]) -> ExperimentArgs {
+        let args = match ExperimentArgs::parse(std::env::args().skip(1), extra_flags) {
             Ok(a) => a,
             Err(msg) => {
                 eprintln!("{msg}");
@@ -158,7 +165,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<ExperimentArgs, String> {
-        ExperimentArgs::parse(args.iter().map(|s| s.to_string()))
+        ExperimentArgs::parse(args.iter().map(|s| s.to_string()), &[])
     }
 
     #[test]
@@ -187,10 +194,17 @@ mod tests {
     }
 
     #[test]
-    fn unknown_double_dash_becomes_flag() {
-        let a = parse(&["--platforms"]).unwrap();
+    fn declared_flags_pass_and_undeclared_ones_fail() {
+        let declared = |args: &[&str]| {
+            ExperimentArgs::parse(args.iter().map(|s| s.to_string()), &["--platforms"])
+        };
+        let a = declared(&["--platforms"]).unwrap();
         assert!(a.has_flag("--platforms"));
         assert!(!a.has_flag("--other"));
+        assert!(declared(&["--other"]).is_err());
+        assert!(parse(&["--platforms"]).is_err());
+        // The removed 4-wide alias fails instead of running the default sweep.
+        assert!(declared(&["--packets"]).is_err());
     }
 
     #[test]
@@ -201,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn packet_width_flag_and_deprecated_alias() {
+    fn packet_width_flag() {
         assert_eq!(parse(&[]).unwrap().packet_width, None);
         assert_eq!(
             parse(&["--packet-width", "8"]).unwrap().packet_width,
@@ -211,14 +225,6 @@ mod tests {
             parse(&["--packet-width", "0"]).unwrap().packet_width,
             Some(0)
         );
-        assert_eq!(parse(&["--packets"]).unwrap().packet_width, Some(4));
-        // An explicit width wins over the alias, in either order.
-        for argv in [
-            ["--packets", "--packet-width", "8"],
-            ["--packet-width", "8", "--packets"],
-        ] {
-            assert_eq!(parse(&argv).unwrap().packet_width, Some(8));
-        }
         assert!(parse(&["--packet-width"]).is_err());
         assert!(parse(&["--packet-width", "2"]).is_err());
         assert!(parse(&["--packet-width", "wide"]).is_err());

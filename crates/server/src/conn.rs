@@ -1,6 +1,8 @@
 //! Per-connection state for the readiness-driven event loop: bounded
-//! line reassembly, a capped backpressure-aware write queue, and the
-//! waker that lets worker threads nudge the loop.
+//! line reassembly, a capped backpressure-aware write queue, the waker
+//! that lets worker threads nudge the loop, and [`Clients`], the one
+//! client-connection lifecycle both fronts (`renderd` and the router)
+//! run: accept, read, flush, close and drain.
 //!
 //! The split of responsibilities is strict: only the event-loop thread
 //! touches the socket (reads *and* writes), while worker threads touch
@@ -13,12 +15,16 @@
 //! swallowed broken pipes and workers kept rendering for dead clients.
 
 use crate::protocol::{self, ErrorCode};
-use std::collections::VecDeque;
+use kdtune_telemetry::MetricsRegistry;
+use polling::{PollFd, POLLIN, POLLOUT};
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Upper bound on bytes queued for one connection before the server
 /// gives up on the client and kills the connection. A client that stops
@@ -315,6 +321,269 @@ impl Conn {
     pub fn pending_write(&self) -> bool {
         self.handle.pending_bytes() > 0
     }
+
+    /// Flushes when there is something to send, the connection is alive
+    /// and the socket has not reported `WouldBlock` since its last
+    /// `POLLOUT`. True when the write failed.
+    pub fn flush_failed(&mut self) -> bool {
+        let due = !self.handle.is_dead() && self.pending_write() && !self.write_blocked;
+        due && self.flush() == Flush::Error
+    }
+}
+
+/// Every step of a client connection's life, counted under
+/// `<prefix>_conn_lifecycle_total{event}`. Both fronts register the same
+/// set, so their expositions are schema-complete before any traffic.
+const LIFECYCLE_EVENTS: [&str; 8] = [
+    "accepted",
+    "closed",
+    "read_eof",
+    "write_error",
+    "line_overflow",
+    "write_overflow",
+    "conn_limit",
+    "drain_closed",
+];
+
+/// The series one front's client lifecycle reports into.
+struct Lifecycle {
+    metrics: Arc<MetricsRegistry>,
+    events: String,
+    write_errors: String,
+    /// `<prefix>_connections`: updated on every accept and close, so
+    /// `stats`/`metrics` read the live count even while a line is being
+    /// dispatched from inside [`Clients::read_ready`].
+    live: Arc<AtomicI64>,
+}
+
+impl Lifecycle {
+    fn event(&self, event: &'static str) {
+        self.metrics.add(&self.events, &[("event", event)], 1);
+    }
+
+    fn write_error(&self, event: &'static str) {
+        self.metrics.add(&self.write_errors, &[], 1);
+        self.event(event);
+    }
+
+    fn closed(&self, conn: &Conn) {
+        conn.handle.mark_dead();
+        self.event("closed");
+        self.live.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The client side of an event loop: every accepted connection of one
+/// front, and the policy for its whole life. The owning loop calls, once
+/// per iteration, [`accept`](Clients::accept) when the listener is
+/// readable, [`add_interest`](Clients::add_interest) while building the
+/// poll set, then [`read_ready`](Clients::read_ready),
+/// [`flush`](Clients::flush) and [`close_finished`](Clients::close_finished)
+/// after `poll` returns. Dropping it tears down whatever is still open.
+pub(crate) struct Clients {
+    conns: HashMap<u64, Conn>,
+    next_token: u64,
+    /// Tokens of the connections in the current poll set, in slot order
+    /// from `first_slot`.
+    polled: Vec<u64>,
+    first_slot: usize,
+    max_conns: usize,
+    waker: Arc<Waker>,
+    lifecycle: Lifecycle,
+}
+
+impl Clients {
+    /// An empty client set for the front whose series start with
+    /// `prefix` (`renderd` or `router`); registers its lifecycle series.
+    pub fn new(
+        prefix: &str,
+        metrics: Arc<MetricsRegistry>,
+        waker: Arc<Waker>,
+        max_conns: usize,
+    ) -> Clients {
+        let lifecycle = Lifecycle {
+            events: format!("{prefix}_conn_lifecycle_total"),
+            write_errors: format!("{prefix}_write_errors_total"),
+            live: metrics.gauge(&format!("{prefix}_connections"), &[]),
+            metrics,
+        };
+        for event in LIFECYCLE_EVENTS {
+            lifecycle
+                .metrics
+                .counter(&lifecycle.events, &[("event", event)]);
+        }
+        lifecycle.metrics.counter(&lifecycle.write_errors, &[]);
+        Clients {
+            conns: HashMap::new(),
+            next_token: 0,
+            polled: Vec::new(),
+            first_slot: 0,
+            max_conns,
+            waker,
+            lifecycle,
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.conns.is_empty()
+    }
+
+    /// Accepts until `WouldBlock`; over-limit connections get one `busy`
+    /// error line and are closed immediately.
+    pub fn accept(&mut self, listener: &TcpListener) {
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if self.conns.len() >= self.max_conns {
+                        self.lifecycle.event("conn_limit");
+                        refuse_over_limit(&stream, self.max_conns);
+                        continue;
+                    }
+                    let waker = Arc::clone(&self.waker);
+                    let Ok(conn) = Conn::new(stream, waker, protocol::MAX_LINE_BYTES) else {
+                        continue;
+                    };
+                    self.lifecycle.event("accepted");
+                    self.lifecycle.live.fetch_add(1, Ordering::Relaxed);
+                    self.conns.insert(self.next_token, conn);
+                    self.next_token += 1;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+    }
+
+    /// Appends every connection that wants reads (line reassembly, while
+    /// not draining) or writes (non-empty queue) to the poll set.
+    /// Connections waiting only on in-flight jobs are deliberately
+    /// absent — `job_finished` wakes the loop — so a hung-up peer cannot
+    /// spin the loop on an unmaskable `POLLHUP`.
+    pub fn add_interest(&mut self, fds: &mut Vec<PollFd>, draining: bool) {
+        self.polled.clear();
+        self.first_slot = fds.len();
+        for (token, conn) in &self.conns {
+            let mut events = 0i16;
+            if !draining && !conn.read_closed && !conn.close_after_flush {
+                events |= POLLIN;
+            }
+            if conn.pending_write() {
+                events |= POLLOUT;
+            }
+            if events != 0 {
+                fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+                self.polled.push(*token);
+            }
+        }
+    }
+
+    /// The readiness pass over the slots [`add_interest`] filled: failed
+    /// descriptors are marked dead for the close pass, `POLLOUT` re-arms
+    /// a blocked writer, and readable sockets are drained, each complete
+    /// line going to `dispatch`. An oversized line is answered with
+    /// `bad_request` and closes the connection once that is flushed.
+    ///
+    /// [`add_interest`]: Clients::add_interest
+    pub fn read_ready(
+        &mut self,
+        fds: &[PollFd],
+        mut dispatch: impl FnMut(&Arc<ConnHandle>, &[u8]),
+    ) {
+        let slots = &fds[self.first_slot..];
+        for (pfd, token) in slots.iter().zip(&self.polled) {
+            let Some(conn) = self.conns.get_mut(token) else {
+                continue;
+            };
+            if pfd.failed() {
+                conn.handle.mark_dead();
+                continue;
+            }
+            if pfd.writable() {
+                conn.write_blocked = false;
+            }
+            if !pfd.readable() || conn.read_closed {
+                continue;
+            }
+            let outcome = conn.read_ready();
+            for line in &outcome.lines {
+                dispatch(&conn.handle, line);
+            }
+            if outcome.overflow {
+                self.lifecycle.event("line_overflow");
+                conn.handle.send_line(&protocol::err_line(
+                    0,
+                    ErrorCode::BadRequest,
+                    &format!(
+                        "request line too long (max {} bytes)",
+                        protocol::MAX_LINE_BYTES
+                    ),
+                ));
+                conn.close_after_flush = true;
+            }
+            if outcome.eof {
+                self.lifecycle.event("read_eof");
+            }
+            if outcome.error {
+                conn.handle.mark_dead();
+            }
+        }
+    }
+
+    /// Flushes everything queued (by workers since the last poll, or by
+    /// dispatch just now), unless the socket reported `WouldBlock` and
+    /// has not signaled writable again.
+    pub fn flush(&mut self) {
+        for conn in self.conns.values_mut() {
+            if conn.flush_failed() {
+                self.lifecycle.write_error("write_error");
+            }
+        }
+    }
+
+    /// Closes dead sockets, overflowed write queues, flushed terminal
+    /// errors and finished peers. `drain_deadline` is set once the front
+    /// drains: then anything idle closes too — a client holding a
+    /// half-sent request or an idle socket must not hold up the exit —
+    /// and whatever is left past the deadline is force-closed.
+    pub fn close_finished(&mut self, drain_deadline: Option<Instant>) {
+        let draining = drain_deadline.is_some();
+        let deadline_passed = drain_deadline.is_some_and(|d| Instant::now() >= d);
+        let lifecycle = &self.lifecycle;
+        self.conns.retain(|_, conn| {
+            let idle = !conn.pending_write() && conn.handle.jobs_in_flight() == 0;
+            let close = if conn.handle.is_dead() {
+                true
+            } else if conn.handle.overflowed() {
+                lifecycle.write_error("write_overflow");
+                true
+            } else if (conn.close_after_flush && !conn.pending_write())
+                || (conn.read_closed && idle)
+                || (draining && idle)
+            {
+                true
+            } else if deadline_passed {
+                lifecycle.event("drain_closed");
+                true
+            } else {
+                false
+            };
+            if close {
+                lifecycle.closed(conn);
+            }
+            !close
+        });
+    }
+}
+
+impl Drop for Clients {
+    /// Teardown: anything still open (the loop broke out early) is
+    /// closed and counted like any other close.
+    fn drop(&mut self) {
+        for conn in self.conns.values() {
+            self.lifecycle.closed(conn);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -510,6 +779,29 @@ mod tests {
             polling::POLLIN,
         )];
         assert_eq!(polling::wait(&mut fds, 50).unwrap(), 0, "fully drained");
+    }
+
+    #[test]
+    fn clients_count_accepts_and_close_what_teardown_leaves_open() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let (waker, _rx) = Waker::pair().unwrap();
+        let metrics = Arc::new(MetricsRegistry::new());
+        let mut clients = Clients::new("test", Arc::clone(&metrics), waker, 8);
+        let _peers: Vec<TcpStream> = (0..2)
+            .map(|_| TcpStream::connect(listener.local_addr().unwrap()).unwrap())
+            .collect();
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        clients.accept(&listener);
+        let event = |e| metrics.counter_value("test_conn_lifecycle_total", &[("event", e)]);
+        let live = || {
+            metrics
+                .gauge("test_connections", &[])
+                .load(Ordering::Relaxed)
+        };
+        assert_eq!((event("accepted"), live()), (2, 2));
+        drop(clients);
+        assert_eq!((event("closed"), live()), (2, 0));
     }
 
     #[test]

@@ -243,6 +243,14 @@ impl ErrorCode {
 /// Parses one request line. On failure the error carries whatever `id`
 /// could be recovered (0 if none) so the response still correlates.
 pub fn parse_request(line: &str) -> Result<Request, (i64, ErrorCode, String)> {
+    parse_request_object(line).map(|(request, _)| request)
+}
+
+/// [`parse_request`], also returning the line's JSON object: the router
+/// forwards that object as it came, with only `id` rewritten.
+pub(crate) fn parse_request_object(
+    line: &str,
+) -> Result<(Request, JsonValue), (i64, ErrorCode, String)> {
     if line.len() > MAX_LINE_BYTES {
         return Err((
             0,
@@ -312,7 +320,7 @@ pub fn parse_request(line: &str) -> Result<Request, (i64, ErrorCode, String)> {
         .get("trace")
         .and_then(JsonValue::as_str)
         .map(String::from);
-    Ok(Request { id, trace, cmd })
+    Ok((Request { id, trace, cmd }, value))
 }
 
 fn parse_spec(value: &JsonValue) -> Result<SessionSpec, String> {

@@ -14,11 +14,18 @@
 //! forest-of-octrees raycasting, with locality falling out of the
 //! partitioning key.
 //!
-//! Threading model: ONE event-loop thread (the same `poll(2)`-driven
-//! design as [`crate::server`], reusing the `conn` module wholesale) owns
-//! every socket — downstream clients and upstream shards alike. There is
-//! no worker pool: the router never renders, it only routes bytes, so a
-//! single loop comfortably saturates the shards.
+//! Forwarding: a client's request goes upstream as the JSON object it
+//! arrived as, with only `id` rewritten; the shard validates it again,
+//! so a protocol field added to renderd needs no router change.
+//! `stats`/`metrics`/`shutdown` fan out as fixed lines instead.
+//!
+//! Threading model: ONE event-loop thread owns every socket —
+//! downstream clients and upstream shards alike. Clients go through the
+//! same lifecycle as renderd's (`conn::Clients`: accept, read, flush,
+//! close, drain, counted under `router_conn_lifecycle_total` and
+//! `router_write_errors_total`); this module adds only the shard side.
+//! There is no worker pool: the router never renders, it only routes
+//! bytes, so a single loop comfortably saturates the shards.
 //!
 //! Backpressure: each shard has a bounded count of router-side in-flight
 //! requests and a bounded upstream write queue; when either cap is hit
@@ -38,8 +45,8 @@
 //! ([`kdtune_telemetry::MergedMetrics`]), with a per-shard breakdown
 //! under `shards` (stats) or `shard="i"`-labeled series (metrics).
 
-use crate::conn::{self, drain_waker, Conn, ConnHandle, Flush, Waker};
-use crate::protocol::{self, Command, ErrorCode, Request, SessionSpec};
+use crate::conn::{drain_waker, Clients, Conn, ConnHandle, Waker};
+use crate::protocol::{self, Command, ErrorCode, Request};
 use crate::shard::{HashRing, ShardProcess};
 use kdtune_telemetry::{self as telemetry, json::JsonValue, MergedMetrics, MetricsRegistry};
 use polling::{PollFd, POLLIN, POLLOUT};
@@ -48,7 +55,7 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -194,9 +201,7 @@ struct Fanout {
     results: Vec<(usize, Option<JsonValue>)>,
 }
 
-/// Plain counters — the loop is single-threaded, but `connections` is
-/// shared with `stats` via the state so keep it atomic for symmetry
-/// with the server.
+/// Plain counters: the loop is single-threaded.
 #[derive(Default)]
 struct Counters {
     received: u64,
@@ -226,7 +231,6 @@ pub struct Router {
     announce_rx: Receiver<(usize, SocketAddr, u32)>,
     metrics: Arc<MetricsRegistry>,
     started: Instant,
-    connections: AtomicUsize,
 }
 
 impl Router {
@@ -330,7 +334,6 @@ impl Router {
             announce_rx,
             metrics,
             started: Instant::now(),
-            connections: AtomicUsize::new(0),
         })
     }
 
@@ -344,14 +347,11 @@ impl Router {
     pub fn run(mut self) -> std::io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let mut loop_state = LoopState {
-            clients: HashMap::new(),
-            next_token: 0,
             next_rid: 1,
             fanouts: HashMap::new(),
             next_fanout: 1,
             counters: Counters::default(),
             draining: false,
-            drain_deadline: None,
         };
         event_loop(&mut self, &mut loop_state);
 
@@ -375,17 +375,14 @@ impl Router {
 }
 
 /// Mutable per-run state kept outside `Router` so helpers can borrow the
-/// router's shards and the loop's clients independently.
+/// router's shards and the loop's bookkeeping independently.
 struct LoopState {
-    clients: HashMap<u64, Conn>,
-    next_token: u64,
     /// Rewritten upstream request ids, unique across all shards.
     next_rid: u64,
     fanouts: HashMap<u64, Fanout>,
     next_fanout: u64,
     counters: Counters,
     draining: bool,
-    drain_deadline: Option<Instant>,
 }
 
 fn preregister_router_series(metrics: &MetricsRegistry, shards: usize) {
@@ -398,21 +395,14 @@ fn preregister_router_series(metrics: &MetricsRegistry, shards: usize) {
         metrics.counter("router_shard_disconnects_total", &[("shard", &label)]);
         metrics.counter("router_shard_reconnects_total", &[("shard", &label)]);
     }
-    for event in ["accepted", "closed", "conn_limit", "drain_closed"] {
-        metrics.counter("router_conn_lifecycle_total", &[("event", event)]);
-    }
-    for gauge in ["router_connections", "router_shards_up", "router_pending"] {
+    // The connection lifecycle series are registered by `conn::Clients`.
+    for gauge in ["router_shards_up", "router_pending"] {
         metrics.gauge(gauge, &[]);
     }
 }
 
 fn refresh_router_gauges(router: &Router) {
     let m = &router.metrics;
-    m.gauge_set(
-        "router_connections",
-        &[],
-        router.connections.load(Ordering::Relaxed) as i64,
-    );
     m.gauge_set(
         "router_shards_up",
         &[],
@@ -426,8 +416,14 @@ fn refresh_router_gauges(router: &Router) {
 }
 
 fn event_loop(router: &mut Router, ls: &mut LoopState) {
+    let mut clients = Clients::new(
+        "router",
+        Arc::clone(&router.metrics),
+        Arc::clone(&router.waker),
+        router.max_conns,
+    );
+    let mut drain_deadline: Option<Instant> = None;
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut client_tokens: Vec<u64> = Vec::new();
     let mut shard_slots: Vec<usize> = Vec::new();
 
     loop {
@@ -446,15 +442,14 @@ fn event_loop(router: &mut Router, ls: &mut LoopState) {
 
         supervise_shards(router, ls);
 
-        if ls.draining && ls.drain_deadline.is_none() {
-            ls.drain_deadline = Some(Instant::now() + Duration::from_millis(router.drain_ms));
+        if ls.draining && drain_deadline.is_none() {
+            drain_deadline = Some(Instant::now() + Duration::from_millis(router.drain_ms));
         }
 
-        // Interest set: waker, listener (while serving), clients wanting
-        // reads/writes, and every live shard connection (always POLLIN —
-        // a response can arrive whenever).
+        // Interest set: waker, listener (while serving), the clients, and
+        // every live shard connection (always POLLIN — a response can
+        // arrive whenever).
         fds.clear();
-        client_tokens.clear();
         shard_slots.clear();
         fds.push(PollFd::new(router.waker_rx.as_raw_fd(), POLLIN));
         let accept_slot = if ls.draining {
@@ -463,20 +458,7 @@ fn event_loop(router: &mut Router, ls: &mut LoopState) {
             fds.push(PollFd::new(router.listener.as_raw_fd(), POLLIN));
             Some(fds.len() - 1)
         };
-        let client_base = fds.len();
-        for (token, conn) in ls.clients.iter() {
-            let mut events = 0i16;
-            if !ls.draining && !conn.read_closed && !conn.close_after_flush {
-                events |= POLLIN;
-            }
-            if conn.pending_write() {
-                events |= POLLOUT;
-            }
-            if events != 0 {
-                fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
-                client_tokens.push(*token);
-            }
-        }
+        clients.add_interest(&mut fds, ls.draining);
         let shard_base = fds.len();
         for slot in router.shards.iter() {
             if let Some(conn) = &slot.conn {
@@ -501,53 +483,12 @@ fn event_loop(router: &mut Router, ls: &mut LoopState) {
         if fds[0].readable() {
             drain_waker(&router.waker_rx);
         }
-        if let Some(slot) = accept_slot {
-            if fds[slot].readable() {
-                accept_ready(router, ls);
-            }
+        if accept_slot.is_some_and(|slot| fds[slot].readable()) {
+            clients.accept(&router.listener);
         }
-
-        // Client readiness.
-        for (i, token) in client_tokens.iter().enumerate() {
-            let pfd = &fds[client_base + i];
-            let (failed, writable, readable) = (pfd.failed(), pfd.writable(), pfd.readable());
-            let Some(conn) = ls.clients.get_mut(token) else {
-                continue;
-            };
-            if failed {
-                conn.handle.mark_dead();
-                continue;
-            }
-            if writable {
-                conn.write_blocked = false;
-            }
-            if readable && !conn.read_closed {
-                let outcome = conn.read_ready();
-                let handle = Arc::clone(&conn.handle);
-                let overflow = outcome.overflow;
-                let error = outcome.error;
-                for line in &outcome.lines {
-                    handle_client_line(router, ls, &handle, line);
-                }
-                let Some(conn) = ls.clients.get_mut(token) else {
-                    continue;
-                };
-                if overflow {
-                    conn.handle.send_line(&protocol::err_line(
-                        0,
-                        ErrorCode::BadRequest,
-                        &format!(
-                            "request line too long (max {} bytes)",
-                            protocol::MAX_LINE_BYTES
-                        ),
-                    ));
-                    conn.close_after_flush = true;
-                }
-                if error {
-                    conn.handle.mark_dead();
-                }
-            }
-        }
+        clients.read_ready(&fds, |client, line| {
+            handle_client_line(router, ls, client, line)
+        });
 
         // Shard readiness.
         for (i, index) in shard_slots.iter().enumerate() {
@@ -577,78 +518,24 @@ fn event_loop(router: &mut Router, ls: &mut LoopState) {
         }
 
         // Flush pass: clients then shards.
-        for conn in ls.clients.values_mut() {
-            let flushable = !conn.handle.is_dead() && conn.pending_write() && !conn.write_blocked;
-            if flushable && conn.flush() == Flush::Error {
-                router.metrics.add(
-                    "router_conn_lifecycle_total",
-                    &[("event", "write_error")],
-                    1,
-                );
-            }
-        }
-        let mut failed_shards: Vec<usize> = Vec::new();
-        for slot in router.shards.iter_mut() {
-            if let Some(conn) = slot.conn.as_mut() {
-                let flushable =
-                    !conn.handle.is_dead() && conn.pending_write() && !conn.write_blocked;
-                if flushable && conn.flush() == Flush::Error {
-                    failed_shards.push(slot.index);
-                }
-            }
-        }
+        clients.flush();
+        let failed_shards: Vec<usize> = router
+            .shards
+            .iter_mut()
+            .filter_map(|slot| {
+                let failed = slot.conn.as_mut().is_some_and(Conn::flush_failed);
+                failed.then_some(slot.index)
+            })
+            .collect();
         for index in failed_shards {
             shard_failed(router, ls, index, "write error");
         }
 
-        // Close pass for clients (mirrors the server's rules).
-        let deadline_passed = ls.drain_deadline.is_some_and(|d| Instant::now() >= d);
-        let mut to_close: Vec<u64> = Vec::new();
-        for (token, conn) in ls.clients.iter() {
-            let idle = !conn.pending_write() && conn.handle.jobs_in_flight() == 0;
-            let close = if conn.handle.is_dead() {
-                true
-            } else if conn.handle.overflowed() {
-                conn.handle.mark_dead();
-                true
-            } else if (conn.close_after_flush && !conn.pending_write())
-                || (conn.read_closed && idle)
-                || (ls.draining && idle)
-            {
-                true
-            } else if ls.draining && deadline_passed {
-                router.metrics.add(
-                    "router_conn_lifecycle_total",
-                    &[("event", "drain_closed")],
-                    1,
-                );
-                conn.handle.mark_dead();
-                true
-            } else {
-                false
-            };
-            if close {
-                to_close.push(*token);
-            }
-        }
-        for token in to_close {
-            if let Some(conn) = ls.clients.remove(&token) {
-                conn.handle.mark_dead();
-                router
-                    .metrics
-                    .add("router_conn_lifecycle_total", &[("event", "closed")], 1);
-                router.connections.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
+        clients.close_finished(drain_deadline);
 
-        if ls.draining && ls.clients.is_empty() && ls.fanouts.is_empty() {
+        if ls.draining && clients.is_empty() && ls.fanouts.is_empty() {
             break;
         }
-    }
-
-    for (_, conn) in ls.clients.drain() {
-        conn.handle.mark_dead();
-        router.connections.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -743,91 +630,34 @@ fn supervise_shards(router: &mut Router, ls: &mut LoopState) {
     }
 }
 
-/// Accepts clients until `WouldBlock`, shedding over-limit connects
-/// with one `busy` line, exactly like the server.
-fn accept_ready(router: &mut Router, ls: &mut LoopState) {
-    loop {
-        match router.listener.accept() {
-            Ok((stream, _)) => {
-                if ls.clients.len() >= router.max_conns {
-                    router.metrics.add(
-                        "router_conn_lifecycle_total",
-                        &[("event", "conn_limit")],
-                        1,
-                    );
-                    conn::refuse_over_limit(&stream, router.max_conns);
-                    continue;
-                }
-                match Conn::new(stream, Arc::clone(&router.waker), protocol::MAX_LINE_BYTES) {
-                    Ok(conn) => {
-                        router.metrics.add(
-                            "router_conn_lifecycle_total",
-                            &[("event", "accepted")],
-                            1,
-                        );
-                        router.connections.fetch_add(1, Ordering::Relaxed);
-                        let token = ls.next_token;
-                        ls.next_token += 1;
-                        ls.clients.insert(token, conn);
-                    }
-                    Err(_) => continue,
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break,
+/// The upstream form of a client's request: the object it arrived as,
+/// with only `id` replaced by the router's own.
+fn forwarded_line(object: JsonValue, rid: u64) -> String {
+    match object {
+        JsonValue::Object(mut map) => {
+            map.insert("id".into(), JsonValue::from(rid));
+            JsonValue::Object(map).to_string()
         }
+        other => other.to_string(),
     }
 }
 
-/// Rebuilds the upstream request line for a render/tune_step with the
-/// rewritten id. Reconstructing from the parsed [`Request`] (rather
-/// than splicing the raw line) guarantees the upstream sees exactly the
-/// fields the protocol defines.
-fn upstream_line(rid: u64, req: &Request) -> String {
-    let mut fields: Vec<(&str, JsonValue)> = vec![("id", JsonValue::from(rid))];
-    match &req.cmd {
-        Command::Render { spec, frame } => {
-            fields.push(("cmd", "render".into()));
-            push_spec(&mut fields, spec);
-            fields.push(("frame", JsonValue::from(*frame)));
-        }
-        Command::TuneStep { spec, steps } => {
-            fields.push(("cmd", "tune_step".into()));
-            push_spec(&mut fields, spec);
-            fields.push(("steps", JsonValue::from(*steps)));
-        }
-        Command::Query { spec, seed } => {
-            fields.push(("cmd", "query".into()));
-            push_spec(&mut fields, spec);
-            fields.push(("seed", JsonValue::from(*seed)));
-        }
-        Command::Stats => fields.push(("cmd", "stats".into())),
-        Command::Metrics { .. } => {
-            fields.push(("cmd", "metrics".into()));
-            fields.push(("format", "json".into()));
-        }
-        Command::Shutdown => fields.push(("cmd", "shutdown".into())),
+/// One leg of a fanout. Metrics legs always ask for the mergeable JSON
+/// snapshot, whatever format the client wants back.
+fn fanout_line(rid: u64, kind: FanKind, trace: Option<&str>) -> String {
+    let cmd = match kind {
+        FanKind::Stats => "stats",
+        FanKind::MetricsText | FanKind::MetricsJson => "metrics",
+        FanKind::Shutdown => "shutdown",
+    };
+    let mut fields = vec![("id", JsonValue::from(rid)), ("cmd", cmd.into())];
+    if cmd == "metrics" {
+        fields.push(("format", "json".into()));
     }
-    if let Some(tag) = &req.trace {
-        fields.push(("trace", tag.as_str().into()));
+    if let Some(tag) = trace {
+        fields.push(("trace", tag.into()));
     }
     JsonValue::object(fields).to_string()
-}
-
-fn push_spec(fields: &mut Vec<(&str, JsonValue)>, spec: &SessionSpec) {
-    fields.push(("scene", spec.scene.as_str().into()));
-    fields.push(("scale", spec.scale.as_str().into()));
-    fields.push(("algo", spec.algo.name().into()));
-    fields.push(("res", JsonValue::from(spec.res)));
-    fields.push(("packet_width", JsonValue::from(spec.packet_width)));
-    if let crate::protocol::Workload::Query(shape) = spec.workload {
-        fields.push(("workload", "query".into()));
-        fields.push(("sampler", shape.sampler.name().into()));
-        fields.push(("batch", JsonValue::from(shape.batch)));
-        fields.push(("k", JsonValue::from(shape.k)));
-        fields.push(("radius_pm", JsonValue::from(shape.radius_pm)));
-    }
 }
 
 fn reply_err(
@@ -862,8 +692,8 @@ fn handle_client_line(
         return;
     }
     ls.counters.received += 1;
-    let request = match protocol::parse_request(line) {
-        Ok(request) => request,
+    let (request, object) = match protocol::parse_request_object(line) {
+        Ok(parsed) => parsed,
         Err((id, code, message)) => {
             reply_err(router, ls, client, id, None, code, &message);
             return;
@@ -885,7 +715,13 @@ fn handle_client_line(
         Command::Render { spec, .. }
         | Command::TuneStep { spec, .. }
         | Command::Query { spec, .. } => {
-            forward_request(router, ls, client, &request, &spec.id());
+            let key = spec.id();
+            if let Err((code, message)) =
+                forward_request(router, ls, client, &request, object, &key)
+            {
+                let trace = request.trace.as_deref();
+                reply_err(router, ls, client, request.id, trace, code, &message);
+            }
         }
         Command::Stats => start_fanout(router, ls, client, &request, FanKind::Stats),
         Command::Metrics { mergeable } => {
@@ -922,74 +758,52 @@ fn handle_client_line(
     }
 }
 
-/// Hash-routes one render/tune_step and forwards it, shedding with
-/// `busy`/`unavailable` when the owner (or every shard) cannot take it.
+/// Hash-routes one render/tune_step/query and forwards `object`, its
+/// JSON form. The error is the caller's reply when the request cannot
+/// go: `unavailable` with no live owner, `busy` for a full pending
+/// window or upstream queue, `bad_request` for a line the shard would
+/// not take.
 fn forward_request(
     router: &mut Router,
     ls: &mut LoopState,
     client: &Arc<ConnHandle>,
     request: &Request,
+    object: JsonValue,
     key: &str,
-) {
+) -> Result<(), (ErrorCode, String)> {
     let shards = &router.shards;
-    let target = router.ring.route(key, |s| shards[s].is_up());
-    let Some(index) = target else {
-        reply_err(
-            router,
-            ls,
-            client,
-            request.id,
-            request.trace.as_deref(),
-            ErrorCode::Unavailable,
-            "no shard is available for this session key",
-        );
-        return;
+    let Some(index) = router.ring.route(key, |s| shards[s].is_up()) else {
+        let message = "no shard is available for this session key";
+        return Err((ErrorCode::Unavailable, message.into()));
     };
     let pending = router.shards[index].pending.len();
     if pending >= router.pending_per_shard {
-        reply_err(
-            router,
-            ls,
-            client,
-            request.id,
-            request.trace.as_deref(),
-            ErrorCode::Busy,
-            &format!("shard {index} has {pending} requests in flight"),
-        );
-        return;
+        let message = format!("shard {index} has {pending} requests in flight");
+        return Err((ErrorCode::Busy, message));
     }
     let rid = ls.next_rid;
-    ls.next_rid += 1;
-    let line = upstream_line(rid, request);
-    let sent = router.shards[index]
+    let line = forwarded_line(object, rid);
+    if line.len() > protocol::MAX_LINE_BYTES {
+        // Re-encoding can lengthen a line (a longer id, `1e2` as
+        // `100.0`); past the shard's line cap it would cost the link.
+        let message = format!(
+            "forwarded request line exceeds {} bytes",
+            protocol::MAX_LINE_BYTES
+        );
+        return Err((ErrorCode::BadRequest, message));
+    }
+    let slot = &mut router.shards[index];
+    if !slot
         .conn
         .as_ref()
-        .map(|c| c.handle.send_line(&line))
-        .unwrap_or(false);
-    if !sent {
+        .is_some_and(|c| c.handle.send_line(&line))
+    {
         // Upstream write queue over cap (or racing a death): shed.
-        reply_err(
-            router,
-            ls,
-            client,
-            request.id,
-            request.trace.as_deref(),
-            ErrorCode::Busy,
-            &format!("shard {index} upstream queue is full"),
-        );
-        return;
+        let message = format!("shard {index} upstream queue is full");
+        return Err((ErrorCode::Busy, message));
     }
-    ls.counters.routed += 1;
-    router
-        .metrics
-        .add("router_requests_total", &[("code", "ok")], 1);
-    router.metrics.add(
-        "router_forwarded_total",
-        &[("shard", &index.to_string())],
-        1,
-    );
+    ls.next_rid += 1;
     client.job_started();
-    let slot = &mut router.shards[index];
     slot.forwarded += 1;
     slot.pending.insert(
         rid,
@@ -999,6 +813,16 @@ fn forward_request(
             trace: request.trace.clone(),
         },
     );
+    ls.counters.routed += 1;
+    router
+        .metrics
+        .add("router_requests_total", &[("code", "ok")], 1);
+    router.metrics.add(
+        "router_forwarded_total",
+        &[("shard", &index.to_string())],
+        1,
+    );
+    Ok(())
 }
 
 /// Fans one control request out to every live shard; completes
@@ -1035,7 +859,7 @@ fn start_fanout(
     for index in up {
         let rid = ls.next_rid;
         ls.next_rid += 1;
-        let line = upstream_line(rid, request);
+        let line = fanout_line(rid, kind, request.trace.as_deref());
         let sent = router.shards[index]
             .conn
             .as_ref()
@@ -1319,7 +1143,11 @@ fn merged_stats(
         ("addr", router.addr.to_string().into()),
         (
             "connections",
-            router.connections.load(Ordering::Relaxed).into(),
+            router
+                .metrics
+                .gauge("router_connections", &[])
+                .load(Ordering::Relaxed)
+                .into(),
         ),
         ("shards_total", router.shards.len().into()),
         (
@@ -1353,87 +1181,28 @@ fn merged_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kdtune::Algorithm;
 
-    fn render_request(id: i64, trace: Option<&str>) -> Request {
-        Request {
-            id,
-            trace: trace.map(String::from),
-            cmd: Command::Render {
-                spec: SessionSpec {
-                    scene: "bunny".into(),
-                    scale: "tiny".into(),
-                    algo: Algorithm::InPlace,
-                    res: 64,
-                    packet_width: 4,
-                    workload: crate::protocol::Workload::Render,
-                },
-                frame: 3,
-            },
+    #[test]
+    fn forwarded_requests_parse_as_the_original_with_the_router_id() {
+        for original in [
+            r#"{"id":7,"cmd":"render","scene":"bunny","scale":"tiny","res":64,"packet_width":4,"frame":3}"#,
+            r#"{"id":3,"cmd":"tune_step","scene":"bunny","workload":"query","sampler":"particle_neighborhood","batch":128,"k":12,"steps":5}"#,
+            r#"{"id":4,"cmd":"query","scene":"sponza","algo":"lazy","batch":128,"k":12,"radius_pm":80,"seed":77}"#,
+            r#"{"id":5,"cmd":"render","scene":"toasters","packets":true}"#,
+            r#"{"id":6,"cmd":"render","scene":"wood_doll","trace":"c1-2"}"#,
+        ] {
+            let (request, object) = protocol::parse_request_object(original).unwrap();
+            let forwarded = protocol::parse_request(&forwarded_line(object, 99)).unwrap();
+            assert_eq!(forwarded, Request { id: 99, ..request }, "{original}");
         }
     }
 
     #[test]
-    fn upstream_line_rewrites_id_and_keeps_spec_and_trace() {
-        let line = upstream_line(99, &render_request(7, Some("c1-2")));
-        let parsed = protocol::parse_request(&line).unwrap();
-        assert_eq!(parsed.id, 99, "id must be the rewritten router id");
-        assert_eq!(parsed.trace.as_deref(), Some("c1-2"));
-        match parsed.cmd {
-            Command::Render { spec, frame } => {
-                assert_eq!(spec.id(), "bunny@tiny/in_place/64/w4");
-                assert_eq!(frame, 3);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-    }
-
-    #[test]
-    fn upstream_line_round_trips_query_requests() {
-        let spec = SessionSpec {
-            scene: "bunny".into(),
-            scale: "tiny".into(),
-            algo: Algorithm::InPlace,
-            res: 64,
-            packet_width: 1,
-            workload: crate::protocol::Workload::Query(crate::protocol::QueryShape {
-                batch: 128,
-                k: 12,
-                ..crate::protocol::QueryShape::default()
-            }),
-        };
-        let request = Request {
-            id: 4,
-            trace: None,
-            cmd: Command::Query {
-                spec: spec.clone(),
-                seed: 77,
-            },
-        };
-        let parsed = protocol::parse_request(&upstream_line(11, &request)).unwrap();
-        match parsed.cmd {
-            Command::Query {
-                spec: round_trip,
-                seed,
-            } => {
-                assert_eq!(round_trip.id(), spec.id());
-                assert_eq!(round_trip.workload, spec.workload);
-                assert_eq!(seed, 77);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-    }
-
-    #[test]
-    fn upstream_metrics_always_requests_mergeable_json() {
-        for mergeable in [false, true] {
-            let req = Request {
-                id: 1,
-                trace: None,
-                cmd: Command::Metrics { mergeable },
-            };
-            let parsed = protocol::parse_request(&upstream_line(5, &req)).unwrap();
-            assert_eq!(parsed.cmd, Command::Metrics { mergeable: true });
+    fn metrics_fanout_always_requests_mergeable_json() {
+        for kind in [FanKind::MetricsText, FanKind::MetricsJson] {
+            let leg = protocol::parse_request(&fanout_line(5, kind, Some("t1"))).unwrap();
+            assert_eq!(leg.cmd, Command::Metrics { mergeable: true });
+            assert_eq!(leg.trace.as_deref(), Some("t1"));
         }
     }
 

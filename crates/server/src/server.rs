@@ -3,13 +3,14 @@
 //!
 //! Threading model: ONE event-loop thread multiplexes every connection
 //! with `poll(2)` (via the `polling` shim) over nonblocking `std::net`
-//! sockets — no per-connection threads. The loop accepts, reassembles
-//! newline-delimited requests from bounded per-connection buffers,
-//! answers control commands (`stats`, `metrics`, `shutdown`) inline, and
-//! pushes render/tune work onto a bounded queue drained by the worker
-//! pool. A full queue is answered immediately with a structured `busy`
-//! error — the service degrades by shedding load, never by buffering
-//! unboundedly.
+//! sockets — no per-connection threads. The client lifecycle (accept,
+//! bounded line reassembly, flush, close, drain) is `conn::Clients`,
+//! shared with the router; this module supplies what it does with each
+//! line: answer control commands (`stats`, `metrics`, `shutdown`)
+//! inline, and push render/tune/query work onto a bounded queue drained
+//! by the worker pool. A full queue is answered immediately with a
+//! structured `busy` error — the service degrades by shedding load,
+//! never by buffering unboundedly.
 //!
 //! Responses flow back through per-connection write queues
 //! (`conn::ConnHandle`): workers enqueue and wake the loop, the
@@ -22,22 +23,22 @@
 //! stall the exit forever.
 
 use crate::cache::TreeCache;
-use crate::conn::{self, drain_waker, Conn, ConnHandle, Flush, Waker};
+use crate::conn::{drain_waker, Clients, ConnHandle, Waker};
 use crate::protocol::{self, config_json, Command, ErrorCode, Request, SessionSpec};
 use crate::session::{build_eager, run_query_batch, Objective, SessionManager};
 use crate::store::ConfigStore;
 use kdtune::raycast::render_with_options;
 use kdtune::{build, Algorithm, BuildParams, BuiltTree, Camera, RenderOptions};
+use kdtune_kdtree::KdTree;
 use kdtune_telemetry::trace::TraceContext;
 use kdtune_telemetry::{self as telemetry, json::JsonValue, MetricsRecorder, MetricsRegistry};
-use polling::{PollFd, POLLIN, POLLOUT};
-use std::collections::{HashMap, VecDeque};
-use std::io::ErrorKind;
+use polling::{PollFd, POLLIN};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -198,8 +199,6 @@ struct ServerState {
     metrics: Arc<MetricsRegistry>,
     slow_us: u64,
     slow_traces: parking_lot::Mutex<VecDeque<JsonValue>>,
-    /// Live connection count, maintained by the event loop.
-    connections: AtomicUsize,
     max_conns: usize,
     drain_ms: u64,
     /// Wakes the event loop out of `poll` (worker responses, shutdown).
@@ -235,7 +234,6 @@ impl RenderServer {
             metrics,
             slow_us: config.slow_ms.saturating_mul(1000),
             slow_traces: parking_lot::Mutex::new(VecDeque::new()),
-            connections: AtomicUsize::new(0),
             max_conns: config.max_conns.max(1),
             drain_ms: config.drain_ms,
             waker,
@@ -261,24 +259,14 @@ impl RenderServer {
     /// steps, frames, build levels) folds into the live registry. Any
     /// recorder already installed (e.g. a `--trace` JSONL sink) keeps
     /// receiving every record via tee, and is restored on exit.
-    ///
-    /// `RENDERD_DISABLE_METRICS=1` skips the install, leaving the
-    /// registry empty — only useful for A/B-measuring the recorder's
-    /// overhead (see EXPERIMENTS.md); `stats`/`metrics` then report
-    /// zeroed series.
     pub fn run(self) -> std::io::Result<()> {
         let state = self.state;
-        let disable_metrics = std::env::var("RENDERD_DISABLE_METRICS").is_ok_and(|v| v == "1");
         let prev = telemetry::clear_recorder();
-        if !disable_metrics {
-            let recorder = match prev.clone() {
-                Some(next) => MetricsRecorder::with_next(Arc::clone(&state.metrics), next),
-                None => MetricsRecorder::new(Arc::clone(&state.metrics)),
-            };
-            telemetry::set_recorder(Arc::new(recorder));
-        } else if let Some(next) = prev.clone() {
-            telemetry::set_recorder(next);
-        }
+        let recorder = match prev.clone() {
+            Some(next) => MetricsRecorder::with_next(Arc::clone(&state.metrics), next),
+            None => MetricsRecorder::new(Arc::clone(&state.metrics)),
+        };
+        telemetry::set_recorder(Arc::new(recorder));
         telemetry::event_owned(
             "server.lifecycle",
             vec![
@@ -324,25 +312,21 @@ impl RenderServer {
     }
 }
 
-/// One step of `renderd_conn_lifecycle_total{event=...}`.
-fn conn_event(state: &ServerState, event: &'static str) {
-    state
-        .metrics
-        .add("renderd_conn_lifecycle_total", &[("event", event)], 1);
-}
-
-/// The readiness-driven core: accepts, reads, dispatches, flushes, and
-/// closes every connection from one thread. Returns once shutdown has
-/// drained (or the drain deadline force-closed the stragglers).
+/// The readiness-driven core: runs the client lifecycle
+/// ([`conn::Clients`]) until shutdown has drained (or the drain deadline
+/// force-closed the stragglers).
 fn event_loop(state: &Arc<ServerState>, listener: &TcpListener, waker_rx: &UnixStream) {
     if listener.set_nonblocking(true).is_err() {
         return;
     }
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token: u64 = 0;
+    let mut clients = Clients::new(
+        "renderd",
+        Arc::clone(&state.metrics),
+        Arc::clone(&state.waker),
+        state.max_conns,
+    );
     let mut drain_deadline: Option<Instant> = None;
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut tokens: Vec<u64> = Vec::new();
 
     loop {
         let draining = state.shutting_down.load(Ordering::SeqCst);
@@ -350,13 +334,9 @@ fn event_loop(state: &Arc<ServerState>, listener: &TcpListener, waker_rx: &UnixS
             drain_deadline = Some(Instant::now() + Duration::from_millis(state.drain_ms));
         }
 
-        // Interest set: the waker, the listener (while serving), and
-        // every connection that wants reads (line reassembly) or writes
-        // (non-empty queue). Connections waiting only on in-flight jobs
-        // are deliberately absent — `job_finished` wakes the loop — so a
-        // hung-up peer cannot spin the loop on an unmaskable `POLLHUP`.
+        // Interest set: the waker, the listener (while serving), and the
+        // clients.
         fds.clear();
-        tokens.clear();
         fds.push(PollFd::new(waker_rx.as_raw_fd(), POLLIN));
         let accept_slot = if draining {
             None
@@ -364,20 +344,7 @@ fn event_loop(state: &Arc<ServerState>, listener: &TcpListener, waker_rx: &UnixS
             fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
             Some(fds.len() - 1)
         };
-        let conn_base = fds.len();
-        for (token, conn) in conns.iter() {
-            let mut events = 0i16;
-            if !draining && !conn.read_closed && !conn.close_after_flush {
-                events |= POLLIN;
-            }
-            if conn.pending_write() {
-                events |= POLLOUT;
-            }
-            if events != 0 {
-                fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
-                tokens.push(*token);
-            }
-        }
+        clients.add_interest(&mut fds, draining);
 
         let timeout = if draining {
             POLL_DRAIN_MS
@@ -393,155 +360,16 @@ fn event_loop(state: &Arc<ServerState>, listener: &TcpListener, waker_rx: &UnixS
         if fds[0].readable() {
             drain_waker(waker_rx);
         }
-        if let Some(slot) = accept_slot {
-            if fds[slot].readable() {
-                accept_ready(state, listener, &mut conns, &mut next_token);
-            }
+        if accept_slot.is_some_and(|slot| fds[slot].readable()) {
+            clients.accept(listener);
         }
+        clients.read_ready(&fds, |writer, line| handle_line(state, writer, line));
+        clients.flush();
+        clients.close_finished(drain_deadline);
 
-        // Readiness per connection: reads reassemble and dispatch lines,
-        // `POLLOUT` re-arms a previously blocked writer, and failed
-        // descriptors are marked dead for the close pass below.
-        for (i, token) in tokens.iter().enumerate() {
-            let Some(conn) = conns.get_mut(token) else {
-                continue;
-            };
-            let pfd = &fds[conn_base + i];
-            if pfd.failed() {
-                conn.handle.mark_dead();
-                continue;
-            }
-            if pfd.writable() {
-                conn.write_blocked = false;
-            }
-            if pfd.readable() && !conn.read_closed {
-                process_readable(state, conn);
-            }
-        }
-
-        // Flush pass: anything queued (by workers since the last poll, or
-        // by inline handling just above) goes out now unless the socket
-        // reported `WouldBlock` and has not signaled writable again.
-        for conn in conns.values_mut() {
-            let flushable = !conn.handle.is_dead() && conn.pending_write() && !conn.write_blocked;
-            if flushable && conn.flush() == Flush::Error {
-                state.metrics.add("renderd_write_errors_total", &[], 1);
-                conn_event(state, "write_error");
-            }
-        }
-
-        // Close pass: dead sockets, overflowed write queues, flushed
-        // terminal errors, finished peers, and drained/expired shutdown.
-        let deadline_passed = drain_deadline.is_some_and(|d| Instant::now() >= d);
-        let mut to_close: Vec<u64> = Vec::new();
-        for (token, conn) in conns.iter() {
-            let idle = !conn.pending_write() && conn.handle.jobs_in_flight() == 0;
-            let close = if conn.handle.is_dead() {
-                true
-            } else if conn.handle.overflowed() {
-                state.metrics.add("renderd_write_errors_total", &[], 1);
-                conn_event(state, "write_overflow");
-                conn.handle.mark_dead();
-                true
-            } else if (conn.close_after_flush && !conn.pending_write())
-                || (conn.read_closed && idle)
-                || (draining && idle)
-            {
-                // Terminal error flushed, peer finished, or — during a
-                // drain — anything idle: drain completion must not wait
-                // on a client holding a half-sent request or an idle
-                // socket open.
-                true
-            } else if draining && deadline_passed {
-                conn_event(state, "drain_closed");
-                conn.handle.mark_dead();
-                true
-            } else {
-                false
-            };
-            if close {
-                to_close.push(*token);
-            }
-        }
-        for token in to_close {
-            if let Some(conn) = conns.remove(&token) {
-                conn.handle.mark_dead();
-                conn_event(state, "closed");
-                state.connections.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-
-        if draining && conns.is_empty() {
+        if draining && clients.is_empty() {
             break;
         }
-    }
-
-    // Anything still open (poll failure path) is torn down on drop.
-    for (_, conn) in conns.drain() {
-        conn.handle.mark_dead();
-        conn_event(state, "closed");
-        state.connections.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Accepts until `WouldBlock`; over-limit connections get one `busy`
-/// error line and are closed immediately.
-fn accept_ready(
-    state: &Arc<ServerState>,
-    listener: &TcpListener,
-    conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if conns.len() >= state.max_conns {
-                    conn_event(state, "conn_limit");
-                    conn::refuse_over_limit(&stream, state.max_conns);
-                    continue;
-                }
-                match Conn::new(stream, Arc::clone(&state.waker), protocol::MAX_LINE_BYTES) {
-                    Ok(conn) => {
-                        conn_event(state, "accepted");
-                        state.connections.fetch_add(1, Ordering::Relaxed);
-                        let token = *next_token;
-                        *next_token += 1;
-                        conns.insert(token, conn);
-                    }
-                    Err(_) => continue,
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-    }
-}
-
-/// Drains a readable connection: dispatches every complete line, rejects
-/// oversized ones, and notes EOF / hard errors for the close pass.
-fn process_readable(state: &Arc<ServerState>, conn: &mut Conn) {
-    let outcome = conn.read_ready();
-    for line in &outcome.lines {
-        handle_line(state, &conn.handle, line);
-    }
-    if outcome.overflow {
-        conn_event(state, "line_overflow");
-        conn.handle.send_line(&protocol::err_line(
-            0,
-            ErrorCode::BadRequest,
-            &format!(
-                "request line too long (max {} bytes)",
-                protocol::MAX_LINE_BYTES
-            ),
-        ));
-        conn.close_after_flush = true;
-    }
-    if outcome.eof {
-        conn_event(state, "read_eof");
-    }
-    if outcome.error {
-        conn.handle.mark_dead();
     }
 }
 
@@ -554,20 +382,8 @@ fn preregister_series(metrics: &MetricsRegistry) {
     }
     metrics.counter("renderd_busy_total", &[]);
     metrics.counter("renderd_slow_requests_total", &[("cmd", "render")]);
-    metrics.counter("renderd_write_errors_total", &[]);
     metrics.counter("renderd_jobs_skipped_total", &[]);
-    for event in [
-        "accepted",
-        "closed",
-        "read_eof",
-        "write_error",
-        "line_overflow",
-        "write_overflow",
-        "conn_limit",
-        "drain_closed",
-    ] {
-        metrics.counter("renderd_conn_lifecycle_total", &[("event", event)]);
-    }
+    // The connection lifecycle series are registered by `conn::Clients`.
     for op in ["hit", "miss", "evict"] {
         metrics.counter("renderd_cache_ops_total", &[("op", op)]);
     }
@@ -581,7 +397,6 @@ fn preregister_series(metrics: &MetricsRegistry) {
     }
     metrics.histogram("renderd_query_us", &[]);
     for gauge in [
-        "renderd_connections",
         "renderd_queue_depth",
         "renderd_queue_capacity",
         "renderd_workers",
@@ -598,11 +413,6 @@ fn preregister_series(metrics: &MetricsRegistry) {
 /// snapshot or exposition so scrapes always see current values.
 fn refresh_gauges(state: &ServerState) {
     let m = &state.metrics;
-    m.gauge_set(
-        "renderd_connections",
-        &[],
-        state.connections.load(Ordering::Relaxed) as i64,
-    );
     m.gauge_set("renderd_queue_depth", &[], state.queue.depth() as i64);
     m.gauge_set("renderd_queue_capacity", &[], state.queue.capacity as i64);
     m.gauge_set("renderd_workers", &[], state.workers as i64);
@@ -1003,79 +813,34 @@ fn handle_render(
     );
     let options = RenderOptions::scalar().with_packet_width(spec.packet_width);
 
+    // Lazy trees expand on demand per ray distribution; sharing one
+    // across requests would leak expansion state, so they bypass the
+    // cache.
     let build_started = Instant::now();
-    let (cache, tree, build_secs) = if spec.algo == Algorithm::Lazy {
-        // Lazy trees expand on demand per ray distribution; sharing one
-        // across requests would leak expansion state, so bypass the cache.
+    let (cache, tree) = if spec.algo == Algorithm::Lazy {
         let built = build(Arc::clone(&mesh), spec.algo, &params);
-        let build_secs = build_started.elapsed().as_secs_f64();
-        let BuiltTree::Lazy(lazy) = built else {
-            return Err((
-                ErrorCode::Internal,
-                "lazy build returned an eager tree".into(),
-            ));
-        };
-        trace.stage("build", (build_secs * 1e6) as u64);
-        let render_started = Instant::now();
-        let (_fb, stats, _packets) =
-            render_with_options(&lazy, &mesh, &camera, view.light, &options);
-        let render_secs = render_started.elapsed().as_secs_f64();
-        trace.stage("render", (render_secs * 1e6) as u64);
-        return Ok(render_result(
-            spec,
-            frame,
-            "bypass",
-            tuned,
-            &values,
-            build_secs,
-            render_secs,
-            &stats,
-        ));
+        ("bypass", FrameTree::Bypass(built))
     } else {
-        let key = cache_key(spec, frame, &params);
-        let (tree, hit) = state.cache.get_or_build(&key, || {
-            match build(Arc::clone(&mesh), spec.algo, &params) {
-                BuiltTree::Eager(tree) => Arc::new(tree),
-                BuiltTree::Lazy(_) => unreachable!("eager algorithm produced a lazy tree"),
-            }
-        });
-        (
-            if hit { "hit" } else { "miss" },
-            tree,
-            build_started.elapsed().as_secs_f64(),
-        )
+        let (tree, hit) = state
+            .cache
+            .get_or_build(&cache_key(spec, frame, &params), || {
+                Arc::new(build_eager(Arc::clone(&mesh), spec.algo, &params))
+            });
+        (if hit { "hit" } else { "miss" }, FrameTree::Cached(tree))
     };
-
+    let build_secs = build_started.elapsed().as_secs_f64();
     trace.stage("build", (build_secs * 1e6) as u64);
+
     let render_started = Instant::now();
-    let (_fb, stats, _packets) =
-        render_with_options(tree.as_ref(), &mesh, &camera, view.light, &options);
+    let (_fb, stats, _packets) = match &tree {
+        FrameTree::Cached(tree) => {
+            render_with_options(tree.as_ref(), &mesh, &camera, view.light, &options)
+        }
+        FrameTree::Bypass(tree) => render_with_options(tree, &mesh, &camera, view.light, &options),
+    };
     let render_secs = render_started.elapsed().as_secs_f64();
     trace.stage("render", (render_secs * 1e6) as u64);
-    Ok(render_result(
-        spec,
-        frame,
-        cache,
-        tuned,
-        &values,
-        build_secs,
-        render_secs,
-        &stats,
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_result(
-    spec: &SessionSpec,
-    frame: usize,
-    cache: &str,
-    tuned: bool,
-    values: &Option<Vec<i64>>,
-    build_secs: f64,
-    render_secs: f64,
-    stats: &kdtune::raycast::RenderStats,
-) -> JsonValue {
-    JsonValue::object([
+    Ok(JsonValue::object([
         ("scene", JsonValue::from(spec.scene.as_str())),
         ("frame", frame.into()),
         ("algo", spec.algo.name().into()),
@@ -1089,7 +854,14 @@ fn render_result(
         ("primary_hits", stats.primary_hits.into()),
         ("shadow_rays", stats.shadow_rays.into()),
         ("occluded", stats.occluded.into()),
-    ])
+    ]))
+}
+
+/// What a render traverses: a shared cache entry, or a tree built for
+/// this request alone.
+enum FrameTree {
+    Cached(Arc<KdTree>),
+    Bypass(BuiltTree),
 }
 
 fn handle_query(
@@ -1194,7 +966,11 @@ fn stats_json(state: &Arc<ServerState>) -> JsonValue {
         ("workers", state.workers.into()),
         (
             "connections",
-            state.connections.load(Ordering::Relaxed).into(),
+            state
+                .metrics
+                .gauge("renderd_connections", &[])
+                .load(Ordering::Relaxed)
+                .into(),
         ),
         ("max_conns", state.max_conns.into()),
         ("queue_depth", state.queue.depth().into()),

@@ -5,13 +5,15 @@
 //! [`RenderServer`]s (fast, covers routing/merging/draining), and
 //! *spawn* mode over actual `renderd` child processes (covers
 //! supervision: kill -9 mid-load must produce structured errors and
-//! re-hash, and the replacement child must be readopted).
+//! re-hash, and the replacement child must be readopted). The client
+//! lifecycle cases of `event_loop.rs` (oversized line, idle drain,
+//! connection limit) run here against a router front as well.
 
 use kdtune_server::loadgen::{self, LoadgenOptions};
 use kdtune_server::router::{Router, RouterConfig, ShardMode};
 use kdtune_server::server::{RenderServer, ServerConfig};
 use kdtune_telemetry::json::JsonValue;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -408,4 +410,151 @@ fn spawned_shard_killed_midload_rehashes_and_is_readopted() {
     drop(control);
     drop(client);
     router_handle.join().unwrap().unwrap();
+}
+
+/// Joins a router thread with a deadline, so a drain hang fails the test
+/// instead of wedging the whole suite.
+fn join_within(handle: std::thread::JoinHandle<std::io::Result<()>>, deadline: Duration) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(handle.join()));
+    match rx.recv_timeout(deadline) {
+        Ok(result) => result.expect("router panicked").expect("router run failed"),
+        Err(_) => panic!("router failed to shut down within {deadline:?}"),
+    }
+}
+
+/// `name{label}` from the router's merged Prometheus exposition.
+fn router_counter(client: &mut LineClient, name: &str, label: &str) -> f64 {
+    let response = client.roundtrip(r#"{"id":900,"cmd":"metrics"}"#);
+    let text = field(&response, &["result", "text"]).as_str().unwrap();
+    let line = text
+        .lines()
+        .find(|line| line.starts_with(name) && line.contains(label))
+        .unwrap_or_else(|| panic!("no {name}{{{label}}} in:\n{text}"));
+    line.split_whitespace().last().unwrap().parse().unwrap()
+}
+
+/// Reads one line, then expects the router to close the socket: a clean
+/// FIN, or an RST when unread request bytes were still queued.
+fn expect_terminal_error(stream: &TcpStream, code: &str, message: &str) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error line");
+    let response = kdtune_telemetry::json::parse(line.trim()).expect("line is JSON");
+    assert_eq!(field(&response, &["error"]).as_str(), Some(code));
+    let text = field(&response, &["message"]).as_str().unwrap();
+    assert!(text.contains(message), "{response}");
+    let mut rest = Vec::new();
+    match reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "nothing follows the terminal error"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+    }
+}
+
+/// The client lifecycle cases of `event_loop.rs` against a router front
+/// with no shard behind it: an oversized slow-drip line, the connection
+/// limit, and idle connections that must not block the drain.
+#[test]
+fn router_client_lifecycle_matches_renderd() {
+    let dead = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let dead_addr = dead.local_addr().unwrap().to_string();
+    drop(dead);
+    let (addr, handle) = start_router(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        shards: ShardMode::Attach(vec![dead_addr]),
+        max_conns: 3,
+        ..RouterConfig::default()
+    });
+    // 3 x 30 KB with pauses: the 64 KB cap trips on the third chunk.
+    let mut drip = TcpStream::connect(&addr).expect("connect");
+    for _ in 0..3 {
+        drip.write_all(&[b'x'; 30 * 1024]).expect("drip chunk");
+        std::thread::sleep(Duration::from_millis(60));
+    }
+    expect_terminal_error(&drip, "bad_request", "too long");
+
+    let mut admin = LineClient::connect(&addr);
+    let idlers: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(&addr).expect("connect idle"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(100));
+    let stats = admin.roundtrip(r#"{"id":1,"cmd":"stats"}"#);
+    let connections = field(&stats, &["result", "connections"]).as_u64();
+    assert_eq!(connections, Some(3), "stats sees the idle connections");
+    let excess = TcpStream::connect(&addr).expect("connect");
+    expect_terminal_error(&excess, "busy", "connection limit");
+    for event in ["line_overflow", "conn_limit"] {
+        let label = format!("event=\"{event}\"");
+        let count = router_counter(&mut admin, "router_conn_lifecycle_total", &label);
+        assert!(count >= 1.0, "{event} counted: {count}");
+    }
+
+    admin.roundtrip(r#"{"id":2,"cmd":"shutdown"}"#);
+    // The drain closes the idlers; a hang here trips their read timeout.
+    for mut idler in idlers {
+        idler
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut rest = Vec::new();
+        idler.read_to_end(&mut rest).expect("closed by drain");
+        assert!(rest.is_empty());
+    }
+    join_within(handle, Duration::from_secs(10));
+}
+
+/// The router forwards a client's object re-encoded with its own id, and
+/// re-encoding can lengthen it (`1e15` comes back as
+/// `1000000000000000.0`). A line that fits the client cap but not the
+/// shard's gets `bad_request` from the router; it must not reach the
+/// shard, where it would be unanswerable or cost the shared link.
+#[test]
+fn request_that_outgrows_the_line_cap_when_forwarded_is_rejected() {
+    let (shard, shard_handle) = start_shard("outgrow");
+    let (addr, handle) = start_router(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        shards: ShardMode::Attach(vec![shard.clone()]),
+        ..RouterConfig::default()
+    });
+    let mut big = LineClient::connect(&addr);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while field(
+        &big.roundtrip(r#"{"id":1,"cmd":"stats"}"#),
+        &["result", "shards_up"],
+    )
+    .as_u64()
+        != Some(1)
+    {
+        assert!(Instant::now() < deadline, "shard never came up");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let grow = vec!["1e15"; 200].join(",");
+    let head = format!(
+        r#"{{"id":7,"cmd":"render","trace":"t7","scene":"bunny","scale":"tiny","res":32,"frame":0,"grow":[{grow}],"pad":""#
+    );
+    let cap = kdtune_server::protocol::MAX_LINE_BYTES;
+    let line = format!("{head}{}\"}}", "x".repeat(cap - head.len() - 2));
+    assert_eq!(line.len(), cap, "the client line sits exactly at the cap");
+    let mut other = LineClient::connect(&addr);
+    big.send(&line);
+    other.send(&render_line(8, "bunny"));
+
+    let rejected = big.recv();
+    assert_eq!(field(&rejected, &["error"]).as_str(), Some("bad_request"));
+    assert_eq!(field(&rejected, &["id"]).as_i64(), Some(7));
+    assert_eq!(field(&rejected, &["trace"]).as_str(), Some("t7"));
+    let served = other.recv();
+    assert_eq!(field(&served, &["ok"]).as_bool(), Some(true), "{served}");
+    let again = big.roundtrip(&render_line(9, "bunny"));
+    assert_eq!(field(&again, &["ok"]).as_bool(), Some(true), "{again}");
+    let disconnects = router_counter(&mut big, "router_shard_disconnects_total", "shard=\"0\"");
+    assert_eq!(disconnects, 0.0, "the shard link stayed up");
+
+    big.roundtrip(r#"{"id":10,"cmd":"shutdown"}"#);
+    join_within(handle, Duration::from_secs(30));
+    LineClient::connect(&shard).roundtrip(r#"{"id":11,"cmd":"shutdown"}"#);
+    shard_handle.join().unwrap().unwrap();
 }
